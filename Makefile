@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-tests lint-baseline lint-report test-race test-faults test-crash test-serve test-shard fuzz bench bench-obs bench-flight bench-kernels bench-kernels-short bench-kernels-wide experiments fast-experiments bench-serve bench-serve-short bench-shard-short fmt loc
+.PHONY: all build test vet lint lint-tests lint-baseline lint-report test-race test-faults test-crash test-serve test-shard test-e2ebench fuzz bench bench-obs bench-flight bench-kernels bench-kernels-short bench-kernels-wide experiments fast-experiments bench-serve bench-serve-short bench-shard-short fmt loc
 
 all: build vet lint test
 
@@ -74,9 +74,18 @@ test-serve:
 test-shard:
 	$(GO) test -race -run 'Shard' ./cmd/fdx ./internal/serve/... ./cmd/fdxd .
 
-# Short local fuzz campaigns over the public entry points.
+# The end-to-end benchmark's own tests (short variants of every workload,
+# offline, ~10s). e2ebench is a module of its own, so `go test ./...` at the
+# root does not reach it; its batch check holds fdx.DiscoverContext to the
+# dense layer chain bit for bit.
+test-e2ebench:
+	cd e2ebench && $(GO) test ./...
+
+# Short local fuzz campaigns over the public entry points and the pair
+# kernel.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDiscover -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz FuzzPairMoments -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzMergeSnapshot -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzFlightDecode -fuzztime 30s ./internal/obs/flight

@@ -1,11 +1,14 @@
 package fdx_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"fdx"
+	"fdx/internal/core"
+	"fdx/internal/stats"
 )
 
 // discoverTwice runs Discover twice with identical options and returns both
@@ -142,8 +145,8 @@ func groupedRelation(rng *rand.Rand, groups, rows int, noise float64) *fdx.Relat
 // TestDiscoverWideScreenedDeterministic runs discovery on a wide
 // block-structured relation where the covariance screening pass
 // genuinely splits the solve, and demands element-wise identical FDs and
-// bit-identical B across worker counts and across the float32 compact
-// store — the end-to-end version of the blocked solver's determinism
+// bit-identical B across worker counts and against the dense reference
+// chain — the end-to-end version of the blocked solver's determinism
 // contract.
 func TestDiscoverWideScreenedDeterministic(t *testing.T) {
 	rel := groupedRelation(rand.New(rand.NewSource(31)), 6, 300, 0.02)
@@ -166,53 +169,57 @@ func TestDiscoverWideScreenedDeterministic(t *testing.T) {
 	for _, workers := range []int{4, 8} {
 		assertIdentical(t, base, run(fdx.Options{Seed: 7, Lambda: 0.3, Workers: workers}))
 	}
-	for _, workers := range []int{1, 8} {
-		compact := run(fdx.Options{Seed: 7, Lambda: 0.3, Workers: workers, CompactTransform: true})
-		assertIdentical(t, base, compact)
-		if compact.Diagnostics.GlassoBlocks != base.Diagnostics.GlassoBlocks {
-			t.Fatalf("compact store changed the screening partition: %d vs %d blocks",
-				compact.Diagnostics.GlassoBlocks, base.Diagnostics.GlassoBlocks)
+	dense, diag := denseChain(t, rel, core.Options{Seed: 7, Lambda: 0.3, Workers: 8})
+	assertIdentical(t, base, dense)
+	if diag.GlassoBlocks != base.Diagnostics.GlassoBlocks {
+		t.Fatalf("the dense chain changed the screening partition: %d vs %d blocks",
+			diag.GlassoBlocks, base.Diagnostics.GlassoBlocks)
+	}
+}
+
+// denseChain runs discovery through the dense reference chain the fused
+// pair-statistics kernel replaces: core.TransformContext's (n·k)×k sample
+// matrix, stats.StratifiedCovariance, then the structure fit.
+func denseChain(t *testing.T, rel *fdx.Relation, opts core.Options) (*fdx.Result, core.Diagnostics) {
+	t.Helper()
+	opts.Transform.Seed = opts.Seed
+	opts.Transform.Workers = opts.Workers
+	ctx := context.Background()
+	dt, err := core.TransformContext(ctx, rel, opts.Transform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := rel.AttrNames()
+	m, err := core.DiscoverFromCovarianceContext(ctx, stats.StratifiedCovariance(dt, len(names)), names, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &fdx.Result{Attributes: names, Order: m.Order}
+	for i := range names {
+		res.B = append(res.B, append([]float64(nil), m.B.Row(i)...))
+	}
+	for _, fd := range m.FDs {
+		pub := fdx.FD{RHS: names[fd.RHS], Score: fd.Score}
+		for _, l := range fd.LHS {
+			pub.LHS = append(pub.LHS, names[l])
 		}
+		res.FDs = append(res.FDs, pub)
 	}
+	return res, m.Diagnostics
 }
 
-// TestDiscoverDeterministicCompactTransform checks the float32 backing
-// store's headline contract on the standard test relation: identical FDs
-// and bit-identical B versus the float64 store, at multiple worker
-// counts.
-func TestDiscoverDeterministicCompactTransform(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		base, _ := discoverTwice(t, fdx.Options{Seed: 7, Workers: workers})
-		compact, again := discoverTwice(t, fdx.Options{Seed: 7, Workers: workers, CompactTransform: true})
-		assertIdentical(t, compact, again)
-		assertIdentical(t, base, compact)
-	}
-}
-
-// TestAccumulatorDeterministicCompactTransform is the streaming variant:
-// batched absorption through the float32 store accumulates bit-identical
-// statistics, so discovery matches the float64 store exactly.
-func TestAccumulatorDeterministicCompactTransform(t *testing.T) {
+// TestDiscoverMatchesDenseChain checks the fused pair-statistics kernel's
+// headline contract on the standard test relation: identical FDs and
+// bit-identical B versus the dense sample-matrix chain, at multiple
+// worker counts.
+func TestDiscoverMatchesDenseChain(t *testing.T) {
 	rel := noisyAddressRelation(rand.New(rand.NewSource(11)), 400, 0.03)
-	run := func(compact bool) *fdx.Result {
-		acc := fdx.NewAccumulator(rel.AttrNames(), fdx.Options{Seed: 7, Workers: 4, CompactTransform: compact})
-		const batch = 100
-		for lo := 0; lo < rel.NumRows(); lo += batch {
-			hi := lo + batch
-			if hi > rel.NumRows() {
-				hi = rel.NumRows()
-			}
-			if err := acc.Add(rel.Slice(lo, hi)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := acc.Discover()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	for _, workers := range []int{1, 4} {
+		got, again := discoverTwice(t, fdx.Options{Seed: 7, Workers: workers})
+		assertIdentical(t, got, again)
+		dense, _ := denseChain(t, rel, core.Options{Seed: 7, Workers: workers})
+		assertIdentical(t, got, dense)
 	}
-	assertIdentical(t, run(false), run(true))
 }
 
 // TestDiscoverDeterministicWithTelemetry checks that attaching a tracer and

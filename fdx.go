@@ -95,20 +95,11 @@ type Options struct {
 	NumericTolerance float64
 	// TextSimilarity enables 3-gram Jaccard similarity for text columns.
 	TextSimilarity bool
-	// CompactTransform stores the transformed tuple-pair samples in a
-	// float32 backing store, halving the transform's memory footprint —
-	// the dominant allocation on wide schemas. The samples are 0/1
-	// indicators (exact in float32) and every consumer widens each
-	// element to float64 before any arithmetic, so the covariance, the
-	// precision estimate, and the discovered FDs are bit-for-bit
-	// identical to the default float64 store.
-	CompactTransform bool
-	// Workers sets the number of goroutines in the pair transform
-	// (0 = GOMAXPROCS, 1 = sequential) and in the numeric stages — the
-	// Graphical Lasso's screened-block fan-out and the streaming
-	// accumulator's per-stratum moments (there 0 also means sequential).
-	// Every setting produces bit-for-bit identical results; see
-	// determinism_test.go.
+	// Workers sets the number of goroutines in the pair statistics, batch
+	// and streaming alike (0 = GOMAXPROCS, 1 = sequential), and in the
+	// Graphical Lasso's screened-block fan-out (there 0 also means
+	// sequential). Every setting produces bit-for-bit identical results;
+	// see determinism_test.go.
 	Workers int
 	// Seed drives the transform's shuffling (0 is a valid fixed seed).
 	Seed int64
@@ -118,7 +109,7 @@ type Options struct {
 	// a degraded result with Diagnostics.GlassoConverged == false.
 	RequireConvergence bool
 	// Tracer, when non-nil, records a span tree of the run — every
-	// pipeline stage, each transform worker, each glasso sweep and ladder
+	// pipeline stage, each transform block, each glasso sweep and ladder
 	// rung — exportable as Chrome trace-event JSON (Tracer.WriteJSON,
 	// loadable in Perfetto) or a text summary (Tracer.Summary). Telemetry
 	// never changes results: FDs and B are identical with or without it.
@@ -172,7 +163,8 @@ type Result struct {
 	// Order is the global attribute order used by the factorization.
 	Order []int
 	// TransformDuration and ModelDuration split the runtime into the data
-	// transformation and the structure-learning phases (paper Figure 6).
+	// transformation — the pair statistics through the covariance — and
+	// the structure-learning phases (paper Figure 6).
 	TransformDuration time.Duration
 	ModelDuration     time.Duration
 	// Diagnostics records how the run degraded, if it did: fallbacks
@@ -202,7 +194,6 @@ func coreOptions(opts Options) core.Options {
 			MaxRows:        opts.MaxRows,
 			NumericTol:     opts.NumericTolerance,
 			TextSimilarity: opts.TextSimilarity,
-			Compact:        opts.CompactTransform,
 			Workers:        opts.Workers,
 			Obs:            obs.Hooks{Tracer: opts.Tracer, Metrics: opts.Metrics, Labels: opts.MetricLabels},
 		},
@@ -220,53 +211,19 @@ func Discover(rel *Relation, opts Options) (*Result, error) {
 }
 
 // DiscoverContext is Discover with cancellation: the context is checked in
-// the transform worker loop, each Graphical Lasso sweep, every rung of the
+// the pair-statistics kernel, each Graphical Lasso sweep, every rung of the
 // fallback ladder, and the ordering search. On expiry the returned error
 // wraps both ctx.Err() and ErrCancelled.
 func DiscoverContext(ctx context.Context, rel *Relation, opts Options) (res *Result, err error) {
 	defer guard("fdx: Discover", &err)
-	if verr := core.ValidateRelation(rel); verr != nil {
-		return nil, fmt.Errorf("fdx: %w", verr)
-	}
-	copts := coreOptions(opts)
-	// Root telemetry span for the whole run; every stage nests under it.
-	// End is deferred for error paths and idempotent on success.
-	run := copts.Obs.Start("discover")
-	defer run.End()
-	copts.Obs = copts.Obs.Under(run)
-	copts.Transform.Obs = copts.Obs
-	copts.Obs.Count(obs.MDiscoverRuns, 1)
-	//fdx:lint-ignore detsource wall-clock timing metadata (Result.TransformDuration); never feeds FD scores
-	t0 := time.Now()
-	var model *core.Model
-	var t1 time.Time
-	if copts.Transform.Compact {
-		samples, terr := core.TransformContext32(ctx, rel, copts.Transform)
-		if terr != nil {
-			return nil, fmt.Errorf("fdx: %w", terr)
-		}
-		//fdx:lint-ignore detsource wall-clock timing metadata (Result.TransformDuration); never feeds FD scores
-		t1 = time.Now()
-		model, err = core.DiscoverFromSamples32Context(ctx, samples, rel.AttrNames(), copts)
-	} else {
-		samples, terr := core.TransformContext(ctx, rel, copts.Transform)
-		if terr != nil {
-			return nil, fmt.Errorf("fdx: %w", terr)
-		}
-		//fdx:lint-ignore detsource wall-clock timing metadata (Result.TransformDuration); never feeds FD scores
-		t1 = time.Now()
-		model, err = core.DiscoverFromSamplesContext(ctx, samples, rel.AttrNames(), copts)
-	}
+	model, err := core.DiscoverContext(ctx, rel, coreOptions(opts))
 	if err != nil {
 		return nil, fmt.Errorf("fdx: %w", err)
 	}
-	//fdx:lint-ignore detsource wall-clock timing metadata (Result.ModelDuration); never feeds FD scores
-	t2 := time.Now()
-	run.End()
 	res = resultFromModel(model, rel.AttrNames())
-	res.TransformDuration = t1.Sub(t0)
-	res.ModelDuration = t2.Sub(t1)
-	res.StageTimings = run.StageTimings()
+	res.TransformDuration = model.TransformDuration
+	res.ModelDuration = model.ModelDuration
+	res.StageTimings = model.Trace.StageTimings()
 	return res, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"time"
 
 	"fdx/internal/dataset"
 	"fdx/internal/faults"
@@ -68,11 +69,11 @@ type Options struct {
 	// a degraded result with Diagnostics.GlassoConverged == false.
 	RequireConvergence bool
 	// Workers sets the number of goroutines used by the numeric stages:
-	// the Graphical Lasso screened-block fan-out and regularization
-	// paths, and the accumulator's per-stratum moment accumulation (0 or
-	// 1 = serial). Results are bit-for-bit identical at any worker count;
-	// see internal/par for the chunking contract that guarantees it. The
-	// pair transform's fan-out is configured separately via
+	// the Graphical Lasso screened-block fan-out and regularization paths
+	// (0 or 1 = serial). Results are bit-for-bit identical at any worker
+	// count; see internal/par for the chunking contract that guarantees
+	// it. The pair statistics' per-stratum fan-out, in batch discovery and
+	// in the accumulator alike, is configured separately via
 	// Transform.Workers.
 	Workers int
 	// Seed drives the transform shuffle.
@@ -133,8 +134,12 @@ type Model struct {
 	// (nil when no tracer was attached). Its StageTimings break the fit
 	// down per stage.
 	Trace *obs.Span
-	// TransformRows and ModelDuration-style accounting live in the caller;
-	// the model keeps only statistical state.
+	// TransformDuration and ModelDuration split a DiscoverContext run
+	// into the pair statistics through the covariance S (the paper's
+	// transform phase, Fig. 6) and the structure fit from S to the FDs.
+	// Zero for models derived any other way.
+	TransformDuration time.Duration
+	ModelDuration     time.Duration
 }
 
 // ValidateRelation checks that a relation is structurally sound for
@@ -163,9 +168,9 @@ func Discover(rel *dataset.Relation, opts Options) (*Model, error) {
 }
 
 // DiscoverContext is Discover with cancellation: the context is checked in
-// the transform worker loop, each Graphical Lasso outer sweep, every rung
-// of the fallback ladder, and the ordering search, and a wrapped ctx.Err()
-// is returned promptly on expiry.
+// the pair-statistics kernel every few thousand pairs, each Graphical Lasso
+// outer sweep, every rung of the fallback ladder, and the ordering search,
+// and a wrapped ctx.Err() is returned promptly on expiry.
 func DiscoverContext(ctx context.Context, rel *dataset.Relation, opts Options) (*Model, error) {
 	opts.defaults()
 	if err := ValidateRelation(rel); err != nil {
@@ -182,35 +187,32 @@ func DiscoverContext(ctx context.Context, rel *dataset.Relation, opts Options) (
 	if k == 0 {
 		return &Model{Theta: linalg.NewDense(0, 0), B: linalg.NewDense(0, 0), Diagnostics: Diagnostics{GlassoConverged: true}, Trace: run}, nil
 	}
-	var m *Model
-	if opts.Transform.Compact {
-		dt, err := TransformContext32(ctx, rel, opts.Transform)
-		if err != nil {
-			return nil, err
-		}
-		m, err = DiscoverFromSamples32Context(ctx, dt, rel.AttrNames(), opts)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		dt, err := TransformContext(ctx, rel, opts.Transform)
-		if err != nil {
-			return nil, err
-		}
-		m, err = DiscoverFromSamplesContext(ctx, dt, rel.AttrNames(), opts)
-		if err != nil {
-			return nil, err
-		}
+	//fdx:lint-ignore detsource wall-clock timing metadata (Model.TransformDuration); never feeds FD scores
+	t0 := time.Now()
+	s, err := pairCovariance(ctx, rel, opts)
+	if err != nil {
+		return nil, err
 	}
+	//fdx:lint-ignore detsource wall-clock timing metadata (Model.TransformDuration); never feeds FD scores
+	t1 := time.Now()
+	m, err := DiscoverFromCovarianceContext(ctx, s, rel.AttrNames(), opts)
+	if err != nil {
+		return nil, err
+	}
+	//fdx:lint-ignore detsource wall-clock timing metadata (Model.ModelDuration); never feeds FD scores
+	t2 := time.Now()
+	m.TransformDuration = t1.Sub(t0)
+	m.ModelDuration = t2.Sub(t1)
 	run.End()
 	m.Trace = run
 	return m, nil
 }
 
 // DiscoverFromSamples runs structure learning + FD generation on an
-// already-transformed binary sample matrix (rows = tuple-pair indicators).
-// It is exposed separately so the scalability experiments can time the
-// model phase apart from the transform (paper Fig. 6 reports both).
+// already-transformed binary sample matrix (rows = tuple-pair indicators,
+// as Transform returns). It is exposed separately so the scalability
+// experiments can time the model phase apart from the dense transform
+// (paper Fig. 6 reports both); DiscoverContext never builds the matrix.
 func DiscoverFromSamples(dt *linalg.Dense, names []string, opts Options) (*Model, error) {
 	return DiscoverFromSamplesContext(context.Background(), dt, names, opts)
 }
@@ -230,30 +232,6 @@ func DiscoverFromSamplesContext(ctx context.Context, dt *linalg.Dense, names []s
 	} else {
 		// One stratum per attribute-sorted block of the transform.
 		s = stats.StratifiedCovariance(dt, k)
-	}
-	csp.Attr("dim", k)
-	csp.End()
-	return DiscoverFromCovarianceContext(ctx, s, names, opts)
-}
-
-// DiscoverFromSamples32Context is DiscoverFromSamplesContext over the
-// compact float32 sample store (TransformOptions.Compact). The covariance
-// accumulates in float64 from the widened samples, so the model is
-// bit-identical to the float64 path's.
-func DiscoverFromSamples32Context(ctx context.Context, dt *linalg.Dense32, names []string, opts Options) (*Model, error) {
-	opts.defaults()
-	k := len(names)
-	if c := dt.Cols(); c != k {
-		return nil, fdxerr.BadInput("core: sample matrix has %d columns, want %d", c, k)
-	}
-
-	csp := opts.Obs.StartStage("covariance")
-	var s *linalg.Dense
-	if opts.PooledCovariance {
-		s = stats.Covariance32(dt)
-	} else {
-		// One stratum per attribute-sorted block of the transform.
-		s = stats.StratifiedCovariance32(dt, k)
 	}
 	csp.Attr("dim", k)
 	csp.End()

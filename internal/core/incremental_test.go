@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -111,31 +112,31 @@ func TestAccumulatorMatchesFullRecomputeApproximately(t *testing.T) {
 	}
 }
 
-// TestAccumulateStratumZeroAlloc pins the absorb inner loop at zero
-// allocations per stratum: the kernel works entirely in caller-provided
-// sums and outer-product buffers, so steady-state absorption costs only
-// the per-batch delta bookkeeping.
+// TestAccumulateStratumZeroAlloc pins the absorb inner loop — the pair
+// kernel's per-stratum sort, compare and count — at zero allocations per
+// stratum once its pooled scratch is warm: the kernel works entirely in
+// that scratch and the caller's count buffer, so steady-state absorption
+// costs only the per-batch delta bookkeeping.
 func TestAccumulateStratumZeroAlloc(t *testing.T) {
-	const k, sn = 8, 64
-	dt := linalg.NewDense(k*sn, k)
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < k*sn; i++ {
-		row := dt.Row(i)
-		for j := range row {
-			if rng.Intn(3) == 0 {
-				row[j] = 1
-			}
-		}
+	rel := randomRelation(rng, 300, 8)
+	opts := TransformOptions{TextSimilarity: true}
+	opts.defaults()
+	pk, err := newPairKernel(context.Background(), rel, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sums := make([]float64, k)
-	out := linalg.NewDense(k, k)
+	defer pk.release()
+	k := rel.NumCols()
+	off := rowOffsets(k, false)
+	out := make([]float64, k*k)
+	sc := getPairScratch()
+	defer pairPool.Put(sc)
+	pk.stratum(context.Background(), 2, sc, off, out)
 	allocs := testing.AllocsPerRun(10, func() {
-		for i := range sums {
-			sums[i] = 0
-		}
-		accumulateStratum(dt, 2, sn, sums, out)
+		pk.stratum(context.Background(), 2, sc, off, out)
 	})
 	if allocs != 0 {
-		t.Fatalf("accumulateStratum allocates %.1f times per stratum, want 0", allocs)
+		t.Fatalf("the pair kernel allocates %.1f times per stratum, want 0", allocs)
 	}
 }

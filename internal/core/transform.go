@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -39,14 +40,6 @@ type TransformOptions struct {
 	// (0 = GOMAXPROCS, 1 = sequential). Each attribute's sorted block is
 	// independent, so the output is identical at any worker count.
 	Workers int
-	// Compact stores the transformed sample block in float32, halving the
-	// memory footprint and traffic of the n·k × k sample matrix — the
-	// lever that matters on wide schemas, where the sample block dwarfs
-	// every other allocation. The transform emits only 0/1 indicator
-	// cells, which float32 represents exactly, and every consumer widens
-	// to float64 before accumulating (covariance sums and solves stay
-	// float64), so results are bit-identical to the float64 store.
-	Compact bool
 	// Obs carries the optional telemetry sinks; inherited from the
 	// pipeline options by core.Options.defaults. Never part of the
 	// checkpoint fingerprint.
@@ -71,6 +64,12 @@ func (o *TransformOptions) defaults() {
 //
 // Missing cells never match anything (including other missing cells): an
 // unknown value gives no evidence that the pair agrees.
+//
+// Discovery never materializes this matrix: DiscoverContext and the
+// Accumulator count the same pairs' agreements with the fused kernel of
+// pairstats.go. Transform is the dense reference that kernel is tested
+// against bit for bit, and what the scalability experiments time as the
+// paper's transform phase (Fig. 6).
 func Transform(rel *dataset.Relation, opts TransformOptions) *linalg.Dense {
 	// A background context never expires, so the error return is dead here.
 	dt, _ := TransformContext(context.Background(), rel, opts)
@@ -87,72 +86,14 @@ func TransformContext(ctx context.Context, rel *dataset.Relation, opts Transform
 		return linalg.NewDense(0, k), nil
 	}
 	out := linalg.NewDense(n*k, k)
-	if err := transformInto[float64](ctx, rel, opts, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// TransformContext32 is TransformContext with the float32 backing store of
-// TransformOptions.Compact: same sample block, half the memory. The 0/1
-// indicator cells are exact in float32, so a float64 widening of the
-// result is bit-identical to TransformContext's output.
-func TransformContext32(ctx context.Context, rel *dataset.Relation, opts TransformOptions) (*linalg.Dense32, error) {
-	opts.defaults()
-	n, k := transformDims(rel, &opts)
-	if n == 0 || k == 0 {
-		return linalg.NewDense32(0, k), nil
-	}
-	out := linalg.NewDense32(n*k, k)
-	if err := transformInto[float32](ctx, rel, opts, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// transformDims returns the shape of the transform's sample block: the
-// effective tuple count after MaxRows sampling and the attribute count.
-// The output matrix is (rows·cols) × cols. opts must have defaults
-// applied.
-func transformDims(rel *dataset.Relation, opts *TransformOptions) (rows, cols int) {
-	rows, cols = rel.NumRows(), rel.NumCols()
-	if opts.MaxRows > 0 && rows > opts.MaxRows {
-		rows = opts.MaxRows
-	}
-	return rows, cols
-}
-
-// colCtx is the per-attribute comparison context shared by the transform
-// workers: the column, its numeric tolerance scale, and — for text
-// columns under TextSimilarity — per-dictionary-code 3-gram sets built
-// once up front, so the pair loop never allocates.
-type colCtx struct {
-	col   *dataset.Column
-	scale float64
-	grams *textGrams
-}
-
-// transformInto is the core of the pair transform, writing the sample
-// block into the caller's preallocated out matrix (shape per
-// transformDims; every cell is written, so recycled buffers need no
-// zeroing). opts must have defaults applied. It is generic over the
-// element type so the float64 and Compact float32 backing stores share
-// one implementation — the emitted cells are the exact integers 0 and 1
-// in either type, which is what makes the compact store lossless.
-func transformInto[F float32 | float64](ctx context.Context, rel *dataset.Relation, opts TransformOptions, out interface{ Row(int) []F }) error {
-	n := rel.NumRows()
-	k := rel.NumCols()
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	rows := make([]int, n)
+	rows := make([]int, rel.NumRows())
 	for i := range rows {
 		rows[i] = i
 	}
-	rng.Shuffle(n, func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-	if opts.MaxRows > 0 && n > opts.MaxRows {
-		rows = rows[:opts.MaxRows]
-		n = opts.MaxRows
-	}
+	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	rows = rows[:n]
 
 	// Pre-compute the per-column comparison contexts: numeric scales for
 	// approximate equality, 3-gram sets per distinct text value.
@@ -161,7 +102,7 @@ func transformInto[F float32 | float64](ctx context.Context, rel *dataset.Relati
 		// Building a text column's 3-gram sets scans every distinct value;
 		// honor cancellation between columns.
 		if err := ctx.Err(); err != nil {
-			return fdxerr.Cancelled(err)
+			return nil, fdxerr.Cancelled(err)
 		}
 		ctxs[j].col = col
 		if col.Type == dataset.Numeric {
@@ -237,10 +178,32 @@ func transformInto[F float32 | float64](ctx context.Context, rel *dataset.Relati
 	close(attrCh)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return fdxerr.Cancelled(err)
+		return nil, fdxerr.Cancelled(err)
 	}
 	opts.Obs.Count(obs.MTransformPairs, uint64(n)*uint64(k))
-	return nil
+	return out, nil
+}
+
+// transformDims returns the shape of the transform's sample block: the
+// effective tuple count after MaxRows sampling and the attribute count.
+// The output matrix is (rows·cols) × cols. opts must have defaults
+// applied.
+func transformDims(rel *dataset.Relation, opts *TransformOptions) (rows, cols int) {
+	rows, cols = rel.NumRows(), rel.NumCols()
+	if opts.MaxRows > 0 && rows > opts.MaxRows {
+		rows = opts.MaxRows
+	}
+	return rows, cols
+}
+
+// colCtx is the per-attribute comparison context shared by the transform
+// workers: the column, its numeric tolerance scale, and — for text
+// columns under TextSimilarity — per-dictionary-code 3-gram sets built
+// once up front, so the pair loop never allocates.
+type colCtx struct {
+	col   *dataset.Column
+	scale float64
+	grams *textGrams
 }
 
 // numericScale returns a robust per-column value scale (max−min over the
@@ -300,28 +263,42 @@ func cellsEqual(cc *colCtx, a, b int, opts *TransformOptions) bool {
 // textGrams caches, per dictionary code of one text column, the
 // case-folded value and its 3-gram set (nil for values shorter than one
 // gram). Built once per transform so the pair loop compares precomputed
-// sets instead of re-deriving them per pair.
+// sets instead of re-deriving them per pair. A set is the sorted,
+// deduplicated byte trigrams of the value, each packed into the low 24
+// bits of a uint32: packing is exact, so the Jaccard values equal those
+// of jaccard3gram's string sets.
 type textGrams struct {
 	lower []string
-	grams []map[string]bool
+	grams [][]uint32
 }
 
 func buildTextGrams(col *dataset.Column) *textGrams {
 	card := col.Cardinality()
-	tg := &textGrams{lower: make([]string, card), grams: make([]map[string]bool, card)}
+	tg := &textGrams{lower: make([]string, card), grams: make([][]uint32, card)}
 	for c := 0; c < card; c++ {
 		s := strings.ToLower(col.DictValue(int32(c)))
 		tg.lower[c] = s
 		if len(s) >= 3 {
-			tg.grams[c] = gramSet(s)
+			tg.grams[c] = packedGrams(s)
 		}
 	}
 	return tg
 }
 
-// jaccard mirrors jaccard3gram over the precomputed sets of two
-// dictionary codes: short values fall back to exact (case-folded)
-// comparison.
+// packedGrams returns the sorted, deduplicated byte trigrams of s
+// (len(s) ≥ 3), each packed as s[i]<<16 | s[i+1]<<8 | s[i+2].
+func packedGrams(s string) []uint32 {
+	g := make([]uint32, 0, len(s)-2)
+	for i := 0; i+3 <= len(s); i++ {
+		g = append(g, uint32(s[i])<<16|uint32(s[i+1])<<8|uint32(s[i+2]))
+	}
+	slices.Sort(g)
+	return slices.Compact(g)
+}
+
+// jaccard is the Jaccard similarity of the 3-gram sets of two dictionary
+// codes, by merge intersection of their sorted sets: short values fall
+// back to exact (case-folded) comparison.
 func (tg *textGrams) jaccard(ca, cb int32) float64 {
 	ga, gb := tg.grams[ca], tg.grams[cb]
 	if ga == nil || gb == nil {
@@ -331,47 +308,17 @@ func (tg *textGrams) jaccard(ca, cb int32) float64 {
 		return 0
 	}
 	inter := 0
-	for g := range ga {
-		if gb[g] {
+	for i, j := 0, 0; i < len(ga) && j < len(gb); {
+		switch {
+		case ga[i] < gb[j]:
+			i++
+		case ga[i] > gb[j]:
+			j++
+		default:
 			inter++
+			i++
+			j++
 		}
 	}
-	union := len(ga) + len(gb) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
-// jaccard3gram returns the Jaccard similarity of the 3-gram sets of two
-// strings (case-folded). Short strings fall back to exact comparison.
-func jaccard3gram(a, b string) float64 {
-	a, b = strings.ToLower(a), strings.ToLower(b)
-	if len(a) < 3 || len(b) < 3 {
-		if a == b {
-			return 1
-		}
-		return 0
-	}
-	ga := gramSet(a)
-	gb := gramSet(b)
-	inter := 0
-	for g := range ga {
-		if gb[g] {
-			inter++
-		}
-	}
-	union := len(ga) + len(gb) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
-func gramSet(s string) map[string]bool {
-	out := make(map[string]bool, len(s))
-	for i := 0; i+3 <= len(s); i++ {
-		out[s[i:i+3]] = true
-	}
-	return out
+	return float64(inter) / float64(len(ga)+len(gb)-inter)
 }

@@ -96,18 +96,109 @@ func Covariance(data *linalg.Dense) *linalg.Dense {
 	accumulateMoments(data, sums, s)
 	inv := 1 / float64(n)
 	for a := 0; a < k; a++ {
-		mua := sums[a] * inv
 		for b := a; b < k; b++ {
-			v := s.At(a, b)*inv - mua*(sums[b]*inv)
-			if b == a && v < 0 {
-				v = 0
-			}
+			v := centered(s.At(a, b), sums[a], sums[b], inv, a == b)
 			s.Set(a, b, v)
 			s.Set(b, a, v)
 		}
 	}
 	vecPool.Put(vb)
 	return s
+}
+
+// centered is Covariance's per-entry formula: the raw moment sum sab of
+// columns a and b, centered by their sums sa and sb, all scaled by
+// inv = 1/n. A diagonal entry is clamped at zero so round-off on a
+// near-constant column can never produce a negative variance. Covariance
+// and the count covariances below all evaluate it, so equal moment sums
+// give equal bits whichever route produced them.
+func centered(sab, sa, sb, inv float64, diag bool) float64 {
+	v := sab*inv - (sa*inv)*(sb*inv)
+	if diag && v < 0 {
+		v = 0
+	}
+	return v
+}
+
+// Covariances from agreement counts. For n observations of k 0/1
+// variables, a count triangle is the upper triangle of the count matrix C
+// packed row by row — entry (a, b), a ≤ b, at a·k − a(a−1)/2 + (b−a);
+// k(k+1)/2 entries in all — where C[a][b] counts the observations with
+// both a and b set, so C[a][a] is column a's sum. Those are exactly the
+// moment sums Covariance accumulates from 0/1 rows, as exact integers, so
+// a covariance evaluated from counts is bit-identical to one accumulated
+// from the samples.
+
+// PooledCountCovariance is Covariance of the union of strata: tris holds
+// the strata's count triangles back to back, each over n observations.
+// The strata's counts are summed (exactly: they are integers) and centered
+// over all n·strata observations. Panics unless len(tris) is a multiple of
+// k(k+1)/2.
+func PooledCountCovariance(n int, tris []float64, k int) *linalg.Dense {
+	size := k * (k + 1) / 2
+	pooled := make([]float64, size)
+	strata := foldCounts(tris, size, func(tri []float64) { linalg.Axpy(1, tri, pooled) })
+	acc := make([]float64, size)
+	addCountCovariance(acc, k, n*strata, pooled)
+	s := linalg.NewDense(k, k)
+	linalg.UnpackSymUpper(s, acc)
+	return s
+}
+
+// StratifiedCountCovariance is StratifiedCovariance from per-stratum
+// counts: tris holds the strata's count triangles back to back, each over
+// n observations. Each stratum's covariance is folded into the sum in
+// ascending stratum order before the 1/strata scale — the same additions
+// in the same order as StratifiedCovariance — so the result is
+// bit-identical to it on the 0/1 sample matrix the counts summarize.
+// Panics unless len(tris) is a multiple of k(k+1)/2.
+func StratifiedCountCovariance(n int, tris []float64, k int) *linalg.Dense {
+	acc := make([]float64, k*(k+1)/2)
+	strata := foldCounts(tris, len(acc), func(tri []float64) { addCountCovariance(acc, k, n, tri) })
+	s := linalg.NewDense(k, k)
+	linalg.UnpackSymUpper(s, acc)
+	if strata > 0 {
+		s.Scale(1 / float64(strata))
+	}
+	return s
+}
+
+// foldCounts calls fn on each count triangle of tris in ascending order
+// and returns how many there were. Panics if tris is not a whole number of
+// triangles of the given size.
+func foldCounts(tris []float64, size int, fn func(tri []float64)) int {
+	if size == 0 {
+		return 0
+	}
+	if len(tris)%size != 0 {
+		panic("stats: count triangles' length is not a multiple of k(k+1)/2")
+	}
+	for at := 0; at < len(tris); at += size {
+		fn(tris[at : at+size])
+	}
+	return len(tris) / size
+}
+
+// addCountCovariance adds the covariance of one count triangle over n
+// observations of k variables into the packed upper triangle acc; with no
+// observations it adds nothing, as Covariance of an empty block is zero.
+// Panics if the triangles' lengths disagree with k.
+func addCountCovariance(acc []float64, k, n int, tri []float64) {
+	if len(acc) != k*(k+1)/2 || len(tri) != len(acc) {
+		panic("stats: addCountCovariance operand shapes disagree")
+	}
+	if n == 0 {
+		return
+	}
+	inv := 1 / float64(n)
+	at := 0
+	for a := 0; a < k; a++ {
+		for b := a; b < k; b++ {
+			diagB := tri[b*k-b*(b-1)/2]
+			acc[at+b-a] += centered(tri[at+b-a], tri[at], diagB, inv, a == b)
+		}
+		at += k - a
+	}
 }
 
 // SecondMoment returns (1/n)·XᵀX without mean-centering. This is the

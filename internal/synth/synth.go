@@ -198,14 +198,19 @@ func Generate(cfg Config) *Instance {
 
 	// Noise: flip cells of FD-participating attributes.
 	if cfg.NoiseRate > 0 {
-		participating := map[int]bool{}
+		// Visit the attributes in ascending order: the noise draws come
+		// from the one rng, so the visiting order decides the data.
+		participating := make([]bool, rel.NumCols())
 		for _, fd := range inst.TrueFDs {
 			participating[fd.RHS] = true
 			for _, a := range fd.LHS {
 				participating[a] = true
 			}
 		}
-		for a := range participating {
+		for a, in := range participating {
+			if !in {
+				continue
+			}
 			col := rel.Columns[a]
 			card := int32(col.Cardinality())
 			if card < 2 {

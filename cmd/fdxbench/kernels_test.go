@@ -1,25 +1,15 @@
 package main
 
 import (
-	"math"
 	"strings"
 	"testing"
-
-	"fdx/internal/glasso"
 )
 
 func gateReport() *kernelsReport {
 	return &kernelsReport{
-		Matmul: []matmulBench{
-			{N: 64, NaiveMillis: 0.2, Speedup: 15},
-			{N: 256, NaiveMillis: 12, Speedup: 10},
-		},
-		Glasso: []glassoBench{
-			{P: 16, SeedMillis: 0.2, SpeedupVsSeed: 0.7},
-			{P: 64, SeedMillis: 4, SpeedupVsSeed: 2.1},
-		},
 		Wide: []wideBench{
 			{P: 256, DenseMillis: 0.4, ScreenedMillis: 0.1, SpeedupVsDense: 4, SpeedupWorkers: 1.0},
+			{P: 512, DenseMillis: 12, ScreenedMillis: 1.5, SpeedupVsDense: 8, SpeedupWorkers: 1.5},
 			{P: 1024, DenseMillis: 40, ScreenedMillis: 2.5, SpeedupVsDense: 16, SpeedupWorkers: 2.0},
 		},
 		Allocs: allocsBench{},
@@ -29,8 +19,8 @@ func gateReport() *kernelsReport {
 func TestCompareKernelsPassesWithinSlack(t *testing.T) {
 	base := gateReport()
 	cur := gateReport()
-	cur.Matmul[1].Speedup = 9.2 // −8%, inside the 10% slack
-	cur.Glasso[1].SpeedupVsSeed = 1.95
+	cur.Wide[1].SpeedupVsDense = 7.4 // −7.5%, inside the 10% slack
+	cur.Wide[2].SpeedupVsDense = 15
 	if failures := compareKernels(cur, base); len(failures) != 0 {
 		t.Fatalf("gate failed inside slack: %v", failures)
 	}
@@ -39,13 +29,13 @@ func TestCompareKernelsPassesWithinSlack(t *testing.T) {
 func TestCompareKernelsFlagsRatioRegression(t *testing.T) {
 	base := gateReport()
 	cur := gateReport()
-	cur.Matmul[1].Speedup = 5
-	cur.Glasso[1].SpeedupVsSeed = 1.0
+	cur.Wide[1].SpeedupVsDense = 4
+	cur.Wide[2].SpeedupVsDense = 8
 	failures := compareKernels(cur, base)
 	if len(failures) != 2 {
-		t.Fatalf("want 2 failures (matmul n=256, glasso p=64), got %v", failures)
+		t.Fatalf("want 2 failures (wide p=512, wide p=1024), got %v", failures)
 	}
-	if !strings.Contains(failures[0], "matmul n=256") || !strings.Contains(failures[1], "glasso p=64") {
+	if !strings.Contains(failures[0], "wide p=512") || !strings.Contains(failures[1], "wide p=1024") {
 		t.Fatalf("unexpected failure set: %v", failures)
 	}
 }
@@ -53,10 +43,12 @@ func TestCompareKernelsFlagsRatioRegression(t *testing.T) {
 func TestCompareKernelsSkipsNoisySizes(t *testing.T) {
 	base := gateReport()
 	cur := gateReport()
+	base.GoMaxProcs, base.NumCPU = 8, 8
+	cur.GoMaxProcs, cur.NumCPU = 8, 8
 	// Sub-millisecond baseline entries are timer noise and must not gate,
 	// however badly their ratios move.
-	cur.Matmul[0].Speedup = 1
-	cur.Glasso[0].SpeedupVsSeed = 0.1
+	cur.Wide[0].SpeedupVsDense = 0.5
+	cur.Wide[0].SpeedupWorkers = 0.1
 	if failures := compareKernels(cur, base); len(failures) != 0 {
 		t.Fatalf("gate judged sub-millisecond sizes: %v", failures)
 	}
@@ -75,10 +67,9 @@ func TestCompareKernelsFlagsAllocIncrease(t *testing.T) {
 func TestCompareKernelsSkipsMissingSizes(t *testing.T) {
 	base := gateReport()
 	cur := gateReport()
-	// A short CI run may omit the largest sizes; the gate only judges
-	// sizes present in both reports.
-	cur.Matmul = cur.Matmul[:1]
-	cur.Glasso = cur.Glasso[:1]
+	// A short CI run omits the largest sizes; the gate only judges sizes
+	// present in both reports.
+	cur.Wide = cur.Wide[:1]
 	if failures := compareKernels(cur, base); len(failures) != 0 {
 		t.Fatalf("gate judged sizes absent from the current report: %v", failures)
 	}
@@ -87,12 +78,10 @@ func TestCompareKernelsSkipsMissingSizes(t *testing.T) {
 func TestCompareKernelsParallelGateNeedsCoresOnBothSides(t *testing.T) {
 	base := gateReport()
 	cur := gateReport()
-	// Terrible parallel ratios, well-timed, but at least one side is
-	// single-core: the workers gate must stay out of it.
-	base.Glasso[1].SpeedupWorkers = 3
-	base.Glasso[1].Workers1Millis = 9
-	cur.Glasso[1].SpeedupWorkers = 0.5
-	cur.Glasso[1].Workers1Millis = 9
+	// Terrible parallel ratio at a well-timed size, but at least one side
+	// is single-core: the relative workers gate must stay out of it.
+	base.Wide[1].SpeedupWorkers = 3
+	cur.Wide[1].SpeedupWorkers = 0.5
 	for _, procs := range [][2]int{{1, 1}, {1, 8}, {8, 1}} {
 		cur.GoMaxProcs, cur.NumCPU = procs[0], procs[0]
 		base.GoMaxProcs, base.NumCPU = procs[1], procs[1]
@@ -115,25 +104,22 @@ func TestCompareKernelsParallelGateOnMultiCore(t *testing.T) {
 	cur := gateReport()
 	base.GoMaxProcs, base.NumCPU = 8, 8
 	cur.GoMaxProcs, cur.NumCPU = 8, 8
-	base.Glasso[0].SpeedupWorkers = 1.0 // sub-millisecond: skipped
-	base.Glasso[1].SpeedupWorkers = 3.0
-	base.Glasso[1].Workers1Millis = 9
-	cur.Glasso[1].Workers1Millis = 9
 	base.Wide[1].SpeedupWorkers = 3.0
+	base.Wide[2].SpeedupWorkers = 3.0
 
 	// Inside slack and above the absolute floor: clean.
-	cur.Glasso[1].SpeedupWorkers = 2.8
 	cur.Wide[1].SpeedupWorkers = 2.8
+	cur.Wide[2].SpeedupWorkers = 2.8
 	if failures := compareKernels(cur, base); len(failures) != 0 {
 		t.Fatalf("multi-core gate failed inside slack: %v", failures)
 	}
-	// Fan-out silently serialized: the glasso and wide relative gates and
-	// the wide absolute floor all fire.
-	cur.Glasso[1].SpeedupWorkers = 1.0
+	// Fan-out silently serialized: both relative gates and the absolute
+	// floor at the largest size fire.
 	cur.Wide[1].SpeedupWorkers = 1.0
+	cur.Wide[2].SpeedupWorkers = 1.0
 	failures := compareKernels(cur, base)
 	if len(failures) != 3 ||
-		!strings.Contains(failures[0], "glasso p=64") || !strings.Contains(failures[0], "below baseline") ||
+		!strings.Contains(failures[0], "wide p=512") || !strings.Contains(failures[0], "below baseline") ||
 		!strings.Contains(failures[1], "wide p=1024") || !strings.Contains(failures[1], "below baseline") ||
 		!strings.Contains(failures[2], "want >= 1.05") {
 		t.Fatalf("want relative + absolute parallel failures, got %v", failures)
@@ -150,13 +136,13 @@ func TestCompareKernelsAbsoluteGateIgnoresBaselineCores(t *testing.T) {
 	cur := gateReport()
 	base.GoMaxProcs, base.NumCPU = 1, 1
 	cur.GoMaxProcs, cur.NumCPU = 8, 8
-	base.Wide[1].SpeedupWorkers = 1.0 // recorded serialized — legitimately
-	cur.Wide[1].SpeedupWorkers = 1.0  // but an 8-core run may not match it
+	base.Wide[2].SpeedupWorkers = 1.0 // recorded serialized — legitimately
+	cur.Wide[2].SpeedupWorkers = 1.0  // but an 8-core run may not match it
 	failures := compareKernels(cur, base)
 	if len(failures) != 1 || !strings.Contains(failures[0], "want >= 1.05") {
 		t.Fatalf("want exactly the absolute wide parallel failure, got %v", failures)
 	}
-	cur.Wide[1].SpeedupWorkers = 1.4
+	cur.Wide[2].SpeedupWorkers = 1.4
 	if failures := compareKernels(cur, base); len(failures) != 0 {
 		t.Fatalf("absolute gate fired above the floor: %v", failures)
 	}
@@ -166,7 +152,7 @@ func TestCompareKernelsFlagsScreeningRegression(t *testing.T) {
 	base := gateReport()
 	cur := gateReport()
 	// Screening win collapsed at a reliably-timed size.
-	cur.Wide[1].SpeedupVsDense = 2
+	cur.Wide[2].SpeedupVsDense = 2
 	failures := compareKernels(cur, base)
 	if len(failures) != 1 || !strings.Contains(failures[0], "wide p=1024") {
 		t.Fatalf("want exactly the wide screening failure, got %v", failures)
@@ -176,33 +162,5 @@ func TestCompareKernelsFlagsScreeningRegression(t *testing.T) {
 	cur.Wide[0].SpeedupVsDense = 0.5
 	if failures := compareKernels(cur, base); len(failures) != 0 {
 		t.Fatalf("gate judged a sub-millisecond wide size: %v", failures)
-	}
-}
-
-// TestSeedGlassoAgreesWithSolver pins the frozen seed reference to the live
-// solver: same covariance, same hyper-parameters, covariance estimates
-// within solver tolerance of each other. If the live solver's algorithm
-// drifts, the benchmark would silently compare unlike quantities.
-func TestSeedGlassoAgreesWithSolver(t *testing.T) {
-	s := benchCovariance(24)
-	wSeed, iters, err := seedGlassoSolve(s, 0.1, 100, 1e-5, 200, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iters < 1 {
-		t.Fatalf("seed solver reported %d sweeps", iters)
-	}
-	res, err := glasso.Solve(s, glasso.Options{Lambda: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, _ := s.Dims()
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			d := math.Abs(wSeed.At(i, j) - res.Covariance.At(i, j))
-			if d > 1e-4 {
-				t.Fatalf("W[%d,%d]: seed %v vs solver %v (|Δ|=%g)", i, j, wSeed.At(i, j), res.Covariance.At(i, j), d)
-			}
-		}
 	}
 }

@@ -15,7 +15,7 @@ const kernelMarker = "fdx:numeric-kernel"
 
 // FloatCmp flags == and != between floating-point operands. Exact equality
 // on float64 is almost never what numerical code means — Graphical Lasso
-// iterates and Cholesky/UDUᵀ pivots differ across architectures and
+// iterates and UDUᵀ pivots differ across architectures and
 // optimization levels at the last ulp, so exact comparisons silently change
 // discovery results. Compare with a tolerance, or annotate the enclosing
 // function with "fdx:numeric-kernel" when exactness is the point.

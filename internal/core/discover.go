@@ -592,7 +592,18 @@ func autoregress(theta *linalg.Dense, perm linalg.Permutation) (*linalg.Dense, b
 	if err != nil {
 		return nil, false, fmt.Errorf("core: UDU factorization: %w", err)
 	}
-	return linalg.Sub(linalg.Identity(k), u), repaired, nil
+	// B = I − U, written over U (which nothing else holds).
+	for i := 0; i < k; i++ {
+		row := u.Row(i)
+		for j, v := range row {
+			id := 0.0
+			if i == j {
+				id = 1
+			}
+			row[j] = id - v
+		}
+	}
+	return u, repaired, nil
 }
 
 // columnThreshold computes the per-column cutoff of the adaptive rule:

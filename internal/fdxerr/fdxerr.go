@@ -16,7 +16,7 @@
 //   - ErrSingularCovariance: the covariance estimate is (numerically)
 //     singular and precision recovery produced a non-positive partial
 //     variance. More data or more regularization may help.
-//   - ErrNonPositivePivot: a factorization (Cholesky/LDL/UDU) hit a
+//   - ErrNonPositivePivot: the UDUᵀ factorization hit a
 //     non-positive pivot — the matrix is not positive definite. The fallback
 //     ladder retries these with escalating diagonal shrinkage.
 //   - ErrNotConverged: an iterative solver exhausted its iteration budget

@@ -34,9 +34,9 @@ type Options struct {
 	// InnerTol is the lasso convergence threshold (default 1e-6).
 	InnerTol float64
 	// Workers is the number of goroutines for the screened-block fan-out
-	// in Solve/SolveBlocks and the regularization-path fan-out in Path
-	// (0 or 1 = serial). Blocks are independent problems over disjoint
-	// state, so results are bit-for-bit identical at any worker count.
+	// in Solve/SolveBlocks (0 or 1 = serial). Blocks are independent
+	// problems over disjoint state, so results are bit-for-bit identical
+	// at any worker count.
 	// The per-column sweep itself is always serial: profiling showed the
 	// column fan-out losing to one core at every p (sub-microsecond tasks
 	// under channel dispatch), so worker routing at block granularity is

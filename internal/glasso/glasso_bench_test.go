@@ -20,16 +20,3 @@ func benchSolve(b *testing.B, k int, lambda float64) {
 func BenchmarkSolve16(b *testing.B)  { benchSolve(b, 16, 0.05) }
 func BenchmarkSolve48(b *testing.B)  { benchSolve(b, 48, 0.05) }
 func BenchmarkSolve128(b *testing.B) { benchSolve(b, 128, 0.05) }
-
-func BenchmarkPath(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	s := randomSPD(rng, 32)
-	lambdas := []float64{0, 0.002, 0.004, 0.006, 0.008, 0.01}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Path(s, lambdas, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

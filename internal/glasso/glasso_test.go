@@ -23,6 +23,65 @@ func randomSPD(rng *rand.Rand, n int) *linalg.Dense {
 	return spd
 }
 
+// cholesky returns the lower-triangular L with a = L·Lᵀ for symmetric
+// positive definite a, or ok = false at a non-positive pivot.
+func cholesky(a *linalg.Dense) (l *linalg.Dense, ok bool) {
+	n := a.Rows()
+	l = linalg.NewDense(n, n)
+	for j := 0; j < n; j++ {
+		lj := l.Row(j)[:j]
+		d := a.At(j, j) - linalg.Dot(lj, lj)
+		if d <= 0 {
+			return nil, false
+		}
+		ljj := math.Sqrt(d)
+		l.Set(j, j, ljj)
+		for i := j + 1; i < n; i++ {
+			l.Set(i, j, (a.At(i, j)-linalg.Dot(l.Row(i)[:j], lj))/ljj)
+		}
+	}
+	return l, true
+}
+
+// inverseSPD returns a⁻¹ for symmetric positive definite a, solving
+// L·Lᵀ·x = e_j by forward and back substitution for each column j.
+func inverseSPD(a *linalg.Dense) (*linalg.Dense, bool) {
+	l, ok := cholesky(a)
+	if !ok {
+		return nil, false
+	}
+	n := a.Rows()
+	inv := linalg.NewDense(n, n)
+	y := make([]float64, n)
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ { // L·y = e_j
+			e := 0.0
+			if i == j {
+				e = 1
+			}
+			y[i] = (e - linalg.Dot(l.Row(i)[:i], y[:i])) / l.At(i, i)
+		}
+		for i := n - 1; i >= 0; i-- { // Lᵀ·x = y, x stored in column j
+			s := y[i]
+			for k := i + 1; k < n; k++ {
+				s -= l.At(k, i) * inv.At(k, j)
+			}
+			inv.Set(i, j, s/l.At(i, i))
+		}
+	}
+	inv.Symmetrize()
+	return inv, true
+}
+
+// mulVec returns a·x.
+func mulVec(a *linalg.Dense, x []float64) []float64 {
+	y := make([]float64, a.Rows())
+	for i := range y {
+		y[i] = linalg.Dot(a.Row(i), x)
+	}
+	return y
+}
+
 func TestSolveRejectsBadInput(t *testing.T) {
 	if _, err := Solve(linalg.NewDense(2, 3), Options{}); err == nil {
 		t.Error("accepted non-square input")
@@ -57,8 +116,8 @@ func TestZeroLambdaRecoversInverse(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		inv, err := linalg.InverseSPD(s)
-		if err != nil {
+		inv, ok := inverseSPD(s)
+		if !ok {
 			return false
 		}
 		return linalg.MaxAbsDiff(res.Precision, inv) < 1e-3
@@ -118,14 +177,14 @@ func TestRecoversBlockStructure(t *testing.T) {
 		0, 0, 2, -0.9,
 		0, 0, -0.9, 2,
 	})
-	sigma, err := linalg.InverseSPD(theta)
-	if err != nil {
-		t.Fatal(err)
+	sigma, ok := inverseSPD(theta)
+	if !ok {
+		t.Fatal("Θ is not positive definite")
 	}
 	// Sample from N(0, Σ) and estimate the covariance.
-	l, err := linalg.Cholesky(sigma)
-	if err != nil {
-		t.Fatal(err)
+	l, ok := cholesky(sigma)
+	if !ok {
+		t.Fatal("Σ is not positive definite")
 	}
 	rng := rand.New(rand.NewSource(11))
 	n := 4000
@@ -135,7 +194,7 @@ func TestRecoversBlockStructure(t *testing.T) {
 		for j := range z {
 			z[j] = rng.NormFloat64()
 		}
-		x := linalg.MulVec(l, z)
+		x := mulVec(l, z)
 		copy(data.Row(i), x)
 	}
 	// Empirical covariance (normalizing by n).
@@ -199,7 +258,7 @@ func TestLassoCDSolvesQuadratic(t *testing.T) {
 	for i := range want {
 		want[i] = rng.NormFloat64()
 	}
-	b := linalg.MulVec(q, want)
+	b := mulVec(q, want)
 	beta := make([]float64, 5)
 	lassoCD(q, b, 0, beta, 5000, 1e-12, make([]float64, 5))
 	for i := range want {

@@ -61,30 +61,6 @@ func TestSolveBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestPathBitIdenticalAcrossWorkers checks the same contract for the
-// regularization-path fan-out.
-func TestPathBitIdenticalAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	s := spdCovariance(rng, 20)
-	lambdas := []float64{0.05, 0.2, 0.1, 0.4}
-	base, err := Path(s, lambdas, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{4, 8} {
-		got, err := Path(s, lambdas, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range base {
-			if base[i].Lambda != got[i].Lambda {
-				t.Fatalf("workers=%d: lambda order differs at %d", workers, i)
-			}
-			assertBitIdentical(t, "path precision", base[i].Result.Precision, got[i].Result.Precision)
-		}
-	}
-}
-
 // TestSweepZeroAllocSteadyState is the zero-allocation gate on the glasso
 // hot loop: once the workspace pool is warm, a full serial sweep —
 // extract, lassoCD, write-back — performs zero heap allocations.

@@ -7,17 +7,17 @@ import (
 	"fdx/internal/fdxerr"
 )
 
-// SymEigen computes the eigendecomposition of the symmetric matrix a using
-// the cyclic Jacobi method. It returns the eigenvalues (unsorted) and the
-// matrix of column eigenvectors V with a = V·diag(vals)·Vᵀ.
-func SymEigen(a *Dense) (vals []float64, vecs *Dense, err error) {
+// symEigen returns the eigenvalues (unsorted) of the symmetric matrix a,
+// computed with the cyclic Jacobi method. The rotations are applied to a
+// copy of a only; eigenvectors are not accumulated, since the one caller
+// (MinEigenvalue, under NearestSPD) reads the smallest eigenvalue alone.
+func symEigen(a *Dense) (vals []float64, err error) {
 	n := a.rows
 	if a.cols != n {
-		return nil, nil, fmt.Errorf("linalg: SymEigen of non-square %dx%d matrix: %w", a.rows, a.cols, fdxerr.ErrBadInput)
+		return nil, fmt.Errorf("linalg: eigenvalues of non-square %dx%d matrix: %w", a.rows, a.cols, fdxerr.ErrBadInput)
 	}
 	m := a.Clone()
 	m.Symmetrize()
-	v := Identity(n)
 
 	const maxSweeps = 100
 	for sweep := 0; sweep < maxSweeps; sweep++ {
@@ -41,7 +41,7 @@ func SymEigen(a *Dense) (vals []float64, vecs *Dense, err error) {
 				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
 				c := 1 / math.Sqrt(t*t+1)
 				s := t * c
-				rotate(m, v, p, q, c, s)
+				rotate(m, p, q, c, s)
 			}
 		}
 	}
@@ -49,14 +49,13 @@ func SymEigen(a *Dense) (vals []float64, vecs *Dense, err error) {
 	for i := range vals {
 		vals[i] = m.At(i, i)
 	}
-	return vals, v, nil
+	return vals, nil
 }
 
-// rotate applies the Jacobi rotation J(p,q,θ) to m (two-sided) and
-// accumulates it into v (one-sided).
+// rotate applies the Jacobi rotation J(p,q,θ) to m (two-sided).
 //
-//fdx:lint-ignore dimcheck private hot-loop helper; the Jacobi driver allocates m and v as n-by-n before the sweep, and a per-rotation guard would dominate the O(n) body
-func rotate(m, v *Dense, p, q int, c, s float64) {
+//fdx:lint-ignore dimcheck private hot-loop helper; the Jacobi driver allocates m as n-by-n before the sweep, and a per-rotation guard would dominate the O(n) body
+func rotate(m *Dense, p, q int, c, s float64) {
 	n := m.rows
 	for k := 0; k < n; k++ {
 		mkp, mkq := m.At(k, p), m.At(k, q)
@@ -68,16 +67,11 @@ func rotate(m, v *Dense, p, q int, c, s float64) {
 		m.Set(p, k, c*mpk-s*mqk)
 		m.Set(q, k, s*mpk+c*mqk)
 	}
-	for k := 0; k < n; k++ {
-		vkp, vkq := v.At(k, p), v.At(k, q)
-		v.Set(k, p, c*vkp-s*vkq)
-		v.Set(k, q, s*vkp+c*vkq)
-	}
 }
 
 // MinEigenvalue returns the smallest eigenvalue of symmetric a.
 func MinEigenvalue(a *Dense) (float64, error) {
-	vals, _, err := SymEigen(a)
+	vals, err := symEigen(a)
 	if err != nil {
 		return 0, err
 	}

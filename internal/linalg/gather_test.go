@@ -68,23 +68,28 @@ func TestScatterDisjointBlocksAssembleBlockDiagonal(t *testing.T) {
 	}
 }
 
+// TestPackUnpackSymUpperRoundTrip unpacks a packed upper triangle written
+// out by hand and checks it lands on the matrix it was packed from.
 func TestPackUnpackSymUpperRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, k := range []int{0, 1, 2, 5, 12} {
-		s := randomDense(rng, k, k)
-		s.Symmetrize()
-		packed := make([]float64, k*(k+1)/2)
-		PackSymUpper(packed, s)
-		out := NewDense(k, k)
-		UnpackSymUpper(out, packed)
-		for i := 0; i < k; i++ {
-			for j := 0; j < k; j++ {
-				if out.At(i, j) != s.At(i, j) {
-					t.Fatalf("k=%d: roundtrip[%d,%d] = %v, want %v", k, i, j, out.At(i, j), s.At(i, j))
-				}
-			}
-		}
+	// The upper triangle of a 3×3 symmetric matrix, row by row:
+	// row 0 holds (0,0) (0,1) (0,2), row 1 (1,1) (1,2), row 2 (2,2).
+	packed := []float64{1, 2, 3, 4, 5, 6}
+	want := NewDenseData(3, 3, []float64{
+		1, 2, 3,
+		2, 4, 5,
+		3, 5, 6,
+	})
+	out := NewDense(3, 3)
+	UnpackSymUpper(out, packed)
+	if MaxAbsDiff(out, want) != 0 {
+		t.Fatalf("UnpackSymUpper:\n%vwant:\n%v", out, want)
 	}
+	one := NewDense(1, 1)
+	UnpackSymUpper(one, []float64{7})
+	if one.At(0, 0) != 7 {
+		t.Fatalf("1×1: got %v, want 7", one.At(0, 0))
+	}
+	UnpackSymUpper(NewDense(0, 0), nil) // k = 0 is a no-op, not a panic
 }
 
 func TestGatherScatterPanicOnShapeMismatch(t *testing.T) {
@@ -100,12 +105,11 @@ func TestGatherScatterPanicOnShapeMismatch(t *testing.T) {
 	s := NewDense(4, 4)
 	mustPanic("GatherSym", func() { GatherSym(NewDense(3, 3), s, []int{0, 1}) })
 	mustPanic("ScatterSym", func() { ScatterSym(s, NewDense(3, 3), []int{0, 1}) })
-	mustPanic("PackSymUpper", func() { PackSymUpper(make([]float64, 3), s) })
 	mustPanic("UnpackSymUpper", func() { UnpackSymUpper(s, make([]float64, 3)) })
 }
 
 // TestGatherScatterZeroAlloc is the runtime half of the zero-allocation
-// contract the gather/scatter/pack kernels advertise in their doc
+// contract the gather/scatter/unpack kernels advertise in their doc
 // comments.
 func TestGatherScatterZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -121,7 +125,6 @@ func TestGatherScatterZeroAlloc(t *testing.T) {
 	}{
 		{"GatherSym", func() { GatherSym(sub, s, idx) }},
 		{"ScatterSym", func() { ScatterSym(dst, sub, idx) }},
-		{"PackSymUpper", func() { PackSymUpper(packed, s) }},
 		{"UnpackSymUpper", func() { UnpackSymUpper(dst, packed) }},
 	}
 	for _, k := range kernels {

@@ -6,47 +6,6 @@ import (
 	"testing"
 )
 
-func randDense(rng *rand.Rand, r, c int) *Dense {
-	m := NewDense(r, c)
-	for i := range m.data {
-		m.data[i] = rng.NormFloat64()
-	}
-	return m
-}
-
-// TestMulMatchesNaive checks the blocked/SIMD multiply against the frozen
-// seed kernel across shapes that exercise every tile-remainder path
-// (rows % 4, cols % 8, tiny and empty dims).
-func TestMulMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	shapes := [][3]int{
-		{0, 0, 0}, {1, 1, 1}, {2, 3, 4}, {4, 4, 4}, {4, 8, 8},
-		{5, 7, 9}, {8, 8, 8}, {13, 17, 19}, {16, 16, 16},
-		{31, 33, 35}, {64, 64, 64}, {67, 1, 67}, {1, 67, 1},
-	}
-	for _, sh := range shapes {
-		n, k, m := sh[0], sh[1], sh[2]
-		a := randDense(rng, n, k)
-		b := randDense(rng, k, m)
-		want := MulNaive(a, b)
-		got := Mul(a, b)
-		// FMA fuses multiply-add, so allow last-bit drift scaled by the
-		// reduction length.
-		tol := 1e-12 * float64(k+1)
-		if d := MaxAbsDiff(want, got); d > tol {
-			t.Errorf("Mul %dx%dx%d: max diff %g > %g", n, k, m, d, tol)
-		}
-	}
-}
-
-// TestMulToRejectsBadShapes checks the panic contracts.
-func TestMulToRejectsBadShapes(t *testing.T) {
-	a := NewDense(3, 4)
-	b := NewDense(4, 5)
-	assertPanics(t, "inner mismatch", func() { MulTo(NewDense(3, 5), b, a) })
-	assertPanics(t, "result shape", func() { MulTo(NewDense(5, 3), a, b) })
-}
-
 func assertPanics(t *testing.T, name string, f func()) {
 	t.Helper()
 	defer func() {
@@ -55,20 +14,6 @@ func assertPanics(t *testing.T, name string, f func()) {
 		}
 	}()
 	f()
-}
-
-// TestMulToOverwritesResult checks that stale values in c do not leak into
-// the product.
-func TestMulToOverwritesResult(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a := randDense(rng, 9, 11)
-	b := randDense(rng, 11, 10)
-	c := randDense(rng, 9, 10) // garbage contents
-	MulTo(c, a, b)
-	want := MulNaive(a, b)
-	if d := MaxAbsDiff(want, c); d > 1e-11 {
-		t.Errorf("stale c leaked into result: max diff %g", d)
-	}
 }
 
 // TestAxpyDotMatchScalar checks the fused primitives against plain scalar
@@ -110,16 +55,34 @@ func TestAxpyDotLengthMismatchPanics(t *testing.T) {
 	assertPanics(t, "Dot", func() { Dot(make([]float64, 3), make([]float64, 4)) })
 }
 
-// TestMulDeterministicAcrossRuns checks bit-for-bit repeatability of the
-// blocked multiply, including the parallel fan-out path (forced by the
-// large shape when GOMAXPROCS > 1).
+// TestAxpyDotZeroAlloc is the runtime half of the zero-allocation contract
+// Axpy and Dot advertise in their doc comments.
+func TestAxpyDotZeroAlloc(t *testing.T) {
+	x := make([]float64, 1003)
+	y := make([]float64, 1003)
+	for i := range x {
+		x[i] = float64(i)
+		y[i] = float64(len(y) - i)
+	}
+	sink := 0.0
+	allocs := testing.AllocsPerRun(20, func() {
+		Axpy(0.5, x, y)
+		sink += Dot(x, y)
+	})
+	if allocs != 0 {
+		t.Errorf("Axpy+Dot: %v allocs/op, want 0", allocs)
+	}
+	_ = sink
+}
+
+// TestMulDeterministicAcrossRuns checks bit-for-bit repeatability of Mul.
 func TestMulDeterministicAcrossRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large multiply")
 	}
 	rng := rand.New(rand.NewSource(10))
-	a := randDense(rng, 160, 160)
-	b := randDense(rng, 160, 160)
+	a := randomDense(rng, 160, 160)
+	b := randomDense(rng, 160, 160)
 	first := Mul(a, b)
 	for run := 0; run < 3; run++ {
 		again := Mul(a, b)
@@ -128,34 +91,6 @@ func TestMulDeterministicAcrossRuns(t *testing.T) {
 				t.Fatalf("run %d: element %d differs: %v vs %v", run, i, first.data[i], again.data[i])
 			}
 		}
-	}
-}
-
-// TestMulToZeroAllocSteadyState checks that repeated multiplies into a
-// reused result matrix stay allocation-free once the pack pool is warm.
-func TestMulToZeroAllocSteadyState(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randDense(rng, 32, 32)
-	b := randDense(rng, 32, 32)
-	c := NewDense(32, 32)
-	MulTo(c, a, b) // warm the pack pool
-	allocs := testing.AllocsPerRun(20, func() { MulTo(c, a, b) })
-	if allocs > 0 {
-		t.Errorf("MulTo steady state allocates %.1f times per op, want 0", allocs)
-	}
-}
-
-func BenchmarkMulBlocked256(b *testing.B) { benchMul(b, Mul) }
-func BenchmarkMulNaive256(b *testing.B)   { benchMul(b, MulNaive) }
-
-func benchMul(b *testing.B, mul func(x, y *Dense) *Dense) {
-	rng := rand.New(rand.NewSource(12))
-	x := randDense(rng, 256, 256)
-	y := randDense(rng, 256, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mul(x, y)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package linalg provides the dense linear-algebra substrate used by FDX:
-// matrices, triangular factorizations (including the UDUᵀ "anti-Cholesky"
-// factorization at the heart of the FDX autoregression estimate), linear
-// solves, and a symmetric eigendecomposition. Everything is implemented on
-// the standard library; matrices are row-major float64.
+// row-major float64 matrices, the fused Axpy/Dot kernels, the UDUᵀ
+// "anti-Cholesky" factorization at the heart of the FDX autoregression
+// estimate, the eigenvalue shift NearestSPD that repairs an indefinite Θ,
+// symmetric permutations, and the gather/scatter copies of the screened
+// glasso. Everything is implemented on the standard library.
 package linalg
 
 import (
@@ -87,38 +88,31 @@ func (m *Dense) Transpose() *Dense {
 	return t
 }
 
-// Mul returns a*b as a new matrix, via the blocked kernel in MulTo.
+// Mul returns a*b as a new matrix: the plain i-k-j triple loop. No
+// discovery path multiplies matrices; tests and the kernel benchmark use
+// Mul to build SPD inputs and to check factorizations.
 // Panics if the inner dimensions disagree.
 func Mul(a, b *Dense) *Dense {
-	return MulTo(NewDense(a.rows, b.cols), a, b)
-}
-
-// MulVec returns a·x as a new vector.
-// Panics if a.Cols() differs from len(x).
-func MulVec(a *Dense, x []float64) []float64 {
-	if a.cols != len(x) {
-		panic(fmt.Sprintf("linalg: MulVec dimension mismatch %dx%d * %d", a.rows, a.cols, len(x)))
+	if a.cols != b.rows {
+		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
-	y := make([]float64, a.rows)
+	c := NewDense(a.rows, b.cols)
 	for i := 0; i < a.rows; i++ {
-		y[i] = Dot(a.Row(i), x)
+		arow := a.Row(i)
+		crow := c.Row(i)
+		for k, av := range arow {
+			//fdx:lint-ignore floatcmp sparsity fast path: an exactly-zero multiplier contributes nothing to the accumulation
+			if av == 0 {
+				continue
+			}
+			brow := b.Row(k)
+			for j, bv := range brow {
+				crow[j] += av * bv
+			}
+		}
 	}
-	return y
-}
-
-// AddScaled returns a + s*b as a new matrix.
-// Panics if a and b have different shapes.
-func AddScaled(a *Dense, s float64, b *Dense) *Dense {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic("linalg: AddScaled dimension mismatch")
-	}
-	c := a.Clone()
-	Axpy(s, b.data, c.data)
 	return c
 }
-
-// Sub returns a - b as a new matrix.
-func Sub(a, b *Dense) *Dense { return AddScaled(a, -1, b) }
 
 // Scale multiplies every element of m by s in place.
 func (m *Dense) Scale(s float64) {

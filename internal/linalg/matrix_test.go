@@ -70,14 +70,6 @@ func TestMulDimensionPanic(t *testing.T) {
 	Mul(NewDense(2, 3), NewDense(2, 3))
 }
 
-func TestMulVec(t *testing.T) {
-	a := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	y := MulVec(a, []float64{1, 0, -1})
-	if y[0] != -2 || y[1] != -2 {
-		t.Errorf("MulVec = %v, want [-2 -2]", y)
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := randomDense(rng, 4, 7)
@@ -100,22 +92,6 @@ func TestTransposeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAddScaledAndSub(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{1, 2, 3, 4})
-	b := NewDenseData(2, 2, []float64{4, 3, 2, 1})
-	sum := AddScaled(a, 2, b)
-	want := NewDenseData(2, 2, []float64{9, 8, 7, 6})
-	if MaxAbsDiff(sum, want) != 0 {
-		t.Errorf("AddScaled = %v", sum)
-	}
-	diff := Sub(a, a)
-	for _, v := range diff.data {
-		if v != 0 {
-			t.Fatal("Sub(a,a) != 0")
-		}
 	}
 }
 

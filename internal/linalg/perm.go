@@ -27,15 +27,6 @@ func (p Permutation) IsValid() bool {
 	return true
 }
 
-// Inverse returns q with q[p[i]] = i.
-func (p Permutation) Inverse() Permutation {
-	q := make(Permutation, len(p))
-	for i, v := range p {
-		q[v] = i
-	}
-	return q
-}
-
 // PermuteSym returns P·a·Pᵀ: element (i, j) of the result is
 // a[p[i], p[j]]. a must be square with the same dimension as p; panics
 // otherwise.
@@ -51,9 +42,4 @@ func PermuteSym(a *Dense, p Permutation) *Dense {
 		}
 	}
 	return out
-}
-
-// UnpermuteSym undoes PermuteSym: UnpermuteSym(PermuteSym(a,p), p) == a.
-func UnpermuteSym(a *Dense, p Permutation) *Dense {
-	return PermuteSym(a, p.Inverse())
 }

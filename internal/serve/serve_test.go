@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -269,6 +270,69 @@ func TestServeBadInput(t *testing.T) {
 	sv.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("broken JSON: status %d, want 400", rec.Code)
+	}
+}
+
+// rowsStream is a generated rows POST body: head, then the same row
+// repeated, up to n bytes in total and never closing the array. It is
+// produced on demand, so the test never holds the body in memory.
+type rowsStream struct {
+	head   string
+	n, off int
+}
+
+func (r *rowsStream) Read(p []byte) (int, error) {
+	const row = `["a0","b0","c0"],`
+	if r.off >= r.n {
+		return 0, io.EOF
+	}
+	if len(p) > r.n-r.off {
+		p = p[:r.n-r.off]
+	}
+	done := 0
+	if r.off < len(r.head) {
+		done = copy(p, r.head[r.off:])
+	}
+	for done < len(p) {
+		at := (r.off + done - len(r.head)) % len(row)
+		done += copy(p[done:], row[at:])
+	}
+	r.off += done
+	return done, nil
+}
+
+// TestServeOversizedBodyRejected pins the request-body cap: a rows POST
+// past maxBodyBytes is refused as bad_input while it streams in, and the
+// session is left exactly as it was.
+func TestServeOversizedBodyRejected(t *testing.T) {
+	sv := newServer(t, nil)
+	createSession(t, sv, "s1", "acme")
+	ingest(t, sv, "s1", "acme", 1, 40, 0)
+
+	body := &rowsStream{head: `{"seq":2,"rows":[`, n: maxBodyBytes + 1<<20}
+	req := httptest.NewRequest("POST", "/v1/sessions/s1/rows", body)
+	req.Header.Set("X-Fdx-Tenant", "acme")
+	rec := httptest.NewRecorder()
+	sv.Handler().ServeHTTP(rec, req)
+	var reply map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+		t.Fatalf("undecodable reply %q: %v", rec.Body.Bytes(), err)
+	}
+	if rec.Code != http.StatusBadRequest || errCode(t, reply) != CodeBadInput {
+		t.Fatalf("oversized rows POST: status %d body %v, want 400 %s", rec.Code, reply, CodeBadInput)
+	}
+	// The refusal must come from the size cap, not from the stream ending
+	// mid-array after the server buffered all of it.
+	if msg := fmt.Sprint(reply["error"]); !strings.Contains(msg, "too large") {
+		t.Fatalf("oversized rows POST refused for another reason: %v", reply)
+	}
+	if body.off > maxBodyBytes+64<<10 {
+		t.Errorf("server read %d bytes of the body, cap is %d", body.off, maxBodyBytes)
+	}
+
+	rec, reply = do(t, sv, "GET", "/v1/sessions/s1", "acme", nil)
+	if rec.Code != http.StatusOK || reply["rows"] != float64(40) || reply["batches"] != float64(1) {
+		t.Fatalf("session changed by a refused body: status %d body %v", rec.Code, reply)
 	}
 }
 

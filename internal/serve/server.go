@@ -249,10 +249,20 @@ func tenantOf(r *http.Request) string {
 	return "default"
 }
 
+// maxBodyBytes bounds every request body the server reads: the JSON
+// session and row POSTs and shipped shard snapshots (ShardClient bounds
+// the replies it reads with it too). A snapshot's size
+// grows with the attribute count squared, not the row count, and a row
+// batch this large is better sent as several batches, so 64 MiB is far
+// beyond any legitimate request; a larger body is a protocol error
+// (400 bad_input), not big data.
+const maxBodyBytes = 64 << 20
+
 // decodeBody parses the JSON request body into v, rejecting unknown
-// fields so typos fail loudly instead of silently configuring nothing.
-func decodeBody(r *http.Request, v any) *httpError {
-	dec := json.NewDecoder(r.Body)
+// fields so typos fail loudly instead of silently configuring nothing,
+// and bodies over maxBodyBytes before they are buffered whole.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) *httpError {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return serveError(http.StatusBadRequest, CodeBadInput, "parsing request body: "+err.Error())
@@ -284,7 +294,7 @@ func replyFor(s *session) sessionReply {
 
 func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) *httpError {
 	var req createRequest
-	if herr := decodeBody(r, &req); herr != nil {
+	if herr := decodeBody(w, r, &req); herr != nil {
 		return herr
 	}
 	tenant := req.Tenant
@@ -361,7 +371,7 @@ func (sv *Server) handleRows(w http.ResponseWriter, r *http.Request) *httpError 
 		return herr
 	}
 	var req rowsRequest
-	if herr := decodeBody(r, &req); herr != nil {
+	if herr := decodeBody(w, r, &req); herr != nil {
 		return herr
 	}
 	if req.Seq < 1 {
@@ -396,11 +406,6 @@ func (sv *Server) handleRows(w http.ResponseWriter, r *http.Request) *httpError 
 	return nil
 }
 
-// maxShardBytes bounds a shipped shard snapshot. Snapshot size grows with
-// the attribute count squared, not the row count, so 64 MiB is far beyond
-// any legitimate schema; a larger body is a protocol error, not big data.
-const maxShardBytes = 64 << 20
-
 // handleShards applies a shard snapshot shipped by a worker (POST
 // /v1/sessions/{id}/shards?seq=N, body application/octet-stream in the
 // checkpoint snapshot encoding). Retries with the same seq are
@@ -418,7 +423,7 @@ func (sv *Server) handleShards(w http.ResponseWriter, r *http.Request) *httpErro
 		return serveError(http.StatusBadRequest, CodeBadInput, "seq query parameter must be an integer >= 1")
 	}
 	annotate(r, "seq", seq)
-	snap, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxShardBytes))
+	snap, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		return serveError(http.StatusBadRequest, CodeBadInput, "reading shard snapshot: "+err.Error())
 	}

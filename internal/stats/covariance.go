@@ -51,24 +51,21 @@ func Mean(data *linalg.Dense) []float64 {
 	return mu
 }
 
-// accumulateMoments is the shared single-traversal core of Covariance and
-// SecondMoment: one pass over the rows of data, adding each row to the
-// column sums (when sums is non-nil) and each row's outer product to the
-// upper triangle of s via fused Axpy updates.
-// Panics if s is not k×k (or sums not length k) for data's column count k.
+// accumulateMoments is Covariance's single traversal: one pass over the
+// rows of data, adding each row to the column sums and each row's outer
+// product to the upper triangle of s via fused Axpy updates.
+// Panics if s is not k×k or sums not length k for data's column count k.
 // (fdx:numeric-kernel: the exact-zero test is a sparsity fast path over the
 // mostly-zero pair-transform samples — a zero multiplier contributes
 // nothing to the accumulation.)
 func accumulateMoments(data *linalg.Dense, sums []float64, s *linalg.Dense) {
 	n, k := data.Dims()
-	if r, c := s.Dims(); r != k || c != k || (sums != nil && len(sums) != k) {
+	if r, c := s.Dims(); r != k || c != k || len(sums) != k {
 		panic("stats: accumulateMoments operand shapes disagree")
 	}
 	for i := 0; i < n; i++ {
 		row := data.Row(i)
-		if sums != nil {
-			linalg.Axpy(1, row, sums)
-		}
+		linalg.Axpy(1, row, sums)
 		for a := 0; a < k; a++ {
 			va := row[a]
 			if va == 0 {
@@ -201,29 +198,6 @@ func addCountCovariance(acc []float64, k, n int, tri []float64) {
 	}
 }
 
-// SecondMoment returns (1/n)·XᵀX without mean-centering. This is the
-// covariance estimator FDX applies to the tuple-pair difference samples:
-// the pair transform already yields a distribution whose relevant structure
-// is around a fixed (not estimated) center, which is what makes the
-// estimate robust to corrupted cells (paper §4.3).
-func SecondMoment(data *linalg.Dense) *linalg.Dense {
-	n, k := data.Dims()
-	s := linalg.NewDense(k, k)
-	if n == 0 {
-		return s
-	}
-	accumulateMoments(data, nil, s)
-	inv := 1 / float64(n)
-	for a := 0; a < k; a++ {
-		for b := a; b < k; b++ {
-			v := s.At(a, b) * inv
-			s.Set(a, b, v)
-			s.Set(b, a, v)
-		}
-	}
-	return s
-}
-
 // StratifiedCovariance splits the rows of data into `strata` contiguous
 // equal-size blocks, computes the covariance within each block, and returns
 // the average. FDX's pair transform (Alg. 2) emits one block per attribute
@@ -261,12 +235,6 @@ func StratifiedCovariance(data *linalg.Dense, strata int) *linalg.Dense {
 	}
 	acc.Scale(1 / float64(strata))
 	return acc
-}
-
-// Correlation converts a covariance matrix to a correlation matrix as a
-// new matrix. See CorrelationInPlace.
-func Correlation(cov *linalg.Dense) *linalg.Dense {
-	return CorrelationInPlace(cov.Clone())
 }
 
 // CorrelationInPlace converts the covariance matrix cov to a correlation

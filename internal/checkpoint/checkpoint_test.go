@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"fdx/internal/core"
@@ -41,24 +43,23 @@ func testAccumulator(t *testing.T, batches int) (*core.Accumulator, []*core.Batc
 // assertStateEqual compares two accumulator states bit-for-bit.
 func assertStateEqual(t *testing.T, got, want *core.AccumulatorState) {
 	t.Helper()
-	if got.Rows != want.Rows || got.Batches != want.Batches {
-		t.Fatalf("counters: got rows=%d batches=%d, want rows=%d batches=%d", got.Rows, got.Batches, want.Rows, want.Batches)
+	if got.Rows != want.Rows || got.Batches != want.Batches || got.Pairs != want.Pairs {
+		t.Fatalf("counters: got rows=%d batches=%d pairs=%d, want rows=%d batches=%d pairs=%d",
+			got.Rows, got.Batches, got.Pairs, want.Rows, want.Batches, want.Pairs)
 	}
-	for s := range want.Names {
-		if got.Names[s] != want.Names[s] || got.Count[s] != want.Count[s] {
-			t.Fatalf("stratum %d meta differs", s)
+	if !reflect.DeepEqual(got.Names, want.Names) {
+		t.Fatalf("names %v, want %v", got.Names, want.Names)
+	}
+	if len(got.Counts) != len(want.Counts) {
+		t.Fatalf("%d counts, want %d", len(got.Counts), len(want.Counts))
+	}
+	for i, w := range want.Counts {
+		if math.Float64bits(got.Counts[i]) != math.Float64bits(w) {
+			t.Fatalf("count %d: %v != %v", i, got.Counts[i], w)
 		}
-		for p := range want.Sums[s] {
-			if got.Sums[s][p] != want.Sums[s][p] {
-				t.Fatalf("sums[%d][%d]: %v != %v", s, p, got.Sums[s][p], want.Sums[s][p])
-			}
-		}
-		gd, wd := got.Outer[s].Data(), want.Outer[s].Data()
-		for i := range wd {
-			if gd[i] != wd[i] {
-				t.Fatalf("outer[%d] element %d: %v != %v", s, i, gd[i], wd[i])
-			}
-		}
+	}
+	if len(got.Ranges) != len(want.Ranges) || (len(want.Ranges) > 0 && !reflect.DeepEqual(got.Ranges, want.Ranges)) {
+		t.Fatalf("coverage %v, want %v", got.Ranges, want.Ranges)
 	}
 }
 
@@ -128,11 +129,61 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	if err := WriteSnapshot(&buf, acc.State(), 1); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	data[8] = 99 // version field
-	_, _, err := ReadSnapshot(bytes.NewReader(data))
-	if !errors.Is(err, fdxerr.ErrCheckpointVersion) {
-		t.Fatalf("want ErrCheckpointVersion, got %v", err)
+	// Version 1 kept per-stratum sums and k×k outer products beside the
+	// counts; this build reads only the version-2 count triangles.
+	for _, v := range []byte{1, 99} {
+		data := append([]byte(nil), buf.Bytes()...)
+		data[8] = v // version field
+		_, _, err := ReadSnapshot(bytes.NewReader(data))
+		if !errors.Is(err, fdxerr.ErrCheckpointVersion) {
+			t.Fatalf("version %d: want ErrCheckpointVersion, got %v", v, err)
+		}
+	}
+}
+
+// writeSections writes a version-2 prologue, want's meta under the given
+// fingerprint, then the given sections and the end section.
+func writeSections(buf *bytes.Buffer, want *core.AccumulatorState, fingerprint uint64, sections ...func(*bytes.Buffer)) {
+	var prologue enc
+	prologue.buf = append(prologue.buf, magic...)
+	prologue.u32(version)
+	prologue.u32(0)
+	buf.Write(prologue.buf)
+	var meta enc
+	meta.u64(fingerprint)
+	meta.u64(uint64(want.Rows))
+	meta.u64(uint64(want.Batches))
+	meta.u64(uint64(want.Pairs))
+	meta.u32(uint32(len(want.Names)))
+	for _, n := range want.Names {
+		meta.str(n)
+	}
+	writeSection(buf, secMeta, meta.buf)
+	for _, sec := range sections {
+		sec(buf)
+	}
+	writeSection(buf, secEnd, nil)
+}
+
+func countsSection(want *core.AccumulatorState) func(*bytes.Buffer) {
+	return func(buf *bytes.Buffer) {
+		var counts enc
+		for _, v := range want.Counts {
+			counts.f64(v)
+		}
+		writeSection(buf, secCounts, counts.buf)
+	}
+}
+
+func rangesSection(want *core.AccumulatorState) func(*bytes.Buffer) {
+	return func(buf *bytes.Buffer) {
+		var ranges enc
+		ranges.u32(uint32(len(want.Ranges)))
+		for _, r := range want.Ranges {
+			ranges.u64(uint64(r.Lo))
+			ranges.u64(uint64(r.Hi))
+		}
+		writeSection(buf, secRanges, ranges.buf)
 	}
 }
 
@@ -141,41 +192,8 @@ func TestSnapshotUnknownSectionSkipped(t *testing.T) {
 	acc, _ := testAccumulator(t, 2)
 	want := acc.State()
 	var buf bytes.Buffer
-	var prologue enc
-	prologue.buf = append(prologue.buf, magic...)
-	prologue.u32(version)
-	prologue.u32(0)
-	buf.Write(prologue.buf)
-	var meta enc
-	meta.u64(11)
-	meta.u64(uint64(want.Rows))
-	meta.u64(uint64(want.Batches))
-	meta.u32(uint32(len(want.Names)))
-	for _, n := range want.Names {
-		meta.str(n)
-	}
-	writeSection(&buf, secMeta, meta.buf)
-	writeSection(&buf, 0xBEEF, []byte("future payload")) // unknown, skippable
-	var counts enc
-	for _, c := range want.Count {
-		counts.u64(uint64(c))
-	}
-	writeSection(&buf, secCounts, counts.buf)
-	var sums enc
-	for _, stratum := range want.Sums {
-		for _, v := range stratum {
-			sums.f64(v)
-		}
-	}
-	writeSection(&buf, secSums, sums.buf)
-	var outer enc
-	for _, m := range want.Outer {
-		for _, v := range m.Data() {
-			outer.f64(v)
-		}
-	}
-	writeSection(&buf, secOuter, outer.buf)
-	writeSection(&buf, secEnd, nil)
+	unknown := func(buf *bytes.Buffer) { writeSection(buf, 0xBEEF, []byte("future payload")) }
+	writeSections(&buf, want, 11, unknown, rangesSection(want), countsSection(want))
 
 	st, fp, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -185,6 +203,46 @@ func TestSnapshotUnknownSectionSkipped(t *testing.T) {
 		t.Errorf("fingerprint %d, want 11", fp)
 	}
 	assertStateEqual(t, st, want)
+}
+
+// TestSnapshotMissingSectionCorrupt pins that the counts and the coverage
+// are both required: a snapshot without either is corrupt, not a state
+// with defaults filled in.
+func TestSnapshotMissingSectionCorrupt(t *testing.T) {
+	acc, _ := testAccumulator(t, 2)
+	want := acc.State()
+	for name, sections := range map[string][]func(*bytes.Buffer){
+		"no counts":   {rangesSection(want)},
+		"no coverage": {countsSection(want)},
+	} {
+		var buf bytes.Buffer
+		writeSections(&buf, want, 1, sections...)
+		if _, _, err := ReadSnapshot(bytes.NewReader(buf.Bytes())); !errors.Is(err, fdxerr.ErrCorruptCheckpoint) {
+			t.Errorf("%s: want ErrCorruptCheckpoint, got %v", name, err)
+		}
+	}
+}
+
+// TestWALRecordSize pins the WAL payload layout: a 36-byte header (seq,
+// rows, pairs, k, global) and k·k(k+1)/2 float64 counts, framed by an
+// 8-byte length and CRC.
+func TestWALRecordSize(t *testing.T) {
+	_, deltas := testAccumulator(t, 1)
+	payload, err := encodeDelta(deltas[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 3
+	if want := 36 + 8*k*k*(k+1)/2; len(payload) != want {
+		t.Fatalf("payload is %d bytes, want %d", len(payload), want)
+	}
+	got, err := decodeDelta(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, deltas[0]) {
+		t.Fatalf("decoded %+v, want %+v", got, deltas[0])
+	}
 }
 
 func TestSaveLoadDurableRoundtrip(t *testing.T) {

@@ -1,9 +1,16 @@
 // Package checkpoint implements the durable on-disk state of incremental
 // discovery: a versioned, self-validating snapshot of the Accumulator's
-// sufficient statistics plus an append-only batch WAL, so a killed
-// streaming process resumes losing at most the one unsynced tail batch.
+// pair statistics plus an append-only batch WAL, so a killed streaming
+// process resumes losing at most the one unsynced tail batch.
 //
-// # Snapshot format (version 1)
+// Both hold the statistics in one layout, the one batch discovery counts
+// into: per stratum (= per attribute) a count triangle of k(k+1)/2
+// float64s — for l ≤ m, the number of the stratum's pairs agreeing on
+// attributes l and m, packed row by row — plus the pair total every
+// triangle is over. Under MaxRows a batch of n rows contributes
+// min(n, MaxRows) pairs, so the pair total can be below the row total.
+//
+// # Snapshot format (version 2)
 //
 // A snapshot is a 16-byte prologue followed by framed sections:
 //
@@ -18,12 +25,22 @@
 //	12      n     payload
 //	12+n    4     CRC32C over ID + length + payload
 //
+// The sections, all required:
+//
+//	1  meta      fingerprint u64, rows u64, batches u64, pairs u64, k u32,
+//	             then k attribute names (u32 length + bytes)
+//	2  counts    k count triangles, k·k(k+1)/2 float64s
+//	5  coverage  u32 interval count, then [lo, hi) u64 pairs of global
+//	             batch indices
+//	0  end       zero-length terminator, last
+//
 // Sections appear in any order after meta; readers skip unknown IDs (still
-// CRC-checked) so minor format additions stay readable, and the stream
-// ends with the zero-length end section. The versioning recipe: a new
-// optional field gets a new section ID (old readers skip it); a change old
-// readers would misinterpret bumps the version, which they reject with
-// ErrCheckpointVersion.
+// CRC-checked) so minor format additions stay readable. IDs 3 and 4 held
+// version 1's per-stratum sums and k×k outer products and are not reused.
+// The versioning recipe: a new optional field gets a new section ID (old
+// readers skip it); a change old readers would misinterpret bumps the
+// version, which they reject with ErrCheckpointVersion — as this build
+// rejects version 1.
 //
 // # WAL format
 //
@@ -32,6 +49,9 @@
 //	0    4    payload length, little-endian uint32
 //	4    n    payload (one encoded core.BatchDelta)
 //	4+n  4    CRC32C over length + payload
+//
+// A payload is seq u64, rows u64, pairs u64, k u32, global u64, then the
+// batch's k count triangles as k·k(k+1)/2 float64s.
 //
 // A record that runs past end-of-file, or whose CRC fails with no bytes
 // after it, is a torn tail from a crash mid-append: replay stops there and
@@ -55,22 +75,20 @@ const (
 	// human-readable format generation.
 	magic = "FDXCKPT1"
 	// version is the snapshot format version this build reads and writes.
-	version = 1
+	version = 2
 
-	// Section IDs of the version-1 snapshot.
+	// Section IDs of the version-2 snapshot.
 	secEnd    = 0 // zero-length terminator
 	secMeta   = 1 // fingerprint, counters, attribute names
-	secCounts = 2 // per-stratum observation counts
-	secSums   = 3 // per-stratum sum vectors
-	secOuter  = 4 // per-stratum outer-product sums
-	secRanges = 5 // batch-coverage intervals (absent = [0, batches))
+	secCounts = 2 // per-stratum count triangles
+	secRanges = 5 // batch-coverage intervals
 
 	// maxSectionLen bounds a section (and WAL record) payload so a
 	// corrupted length field cannot demand an absurd allocation.
 	maxSectionLen = 1 << 27
-	// maxAttrs bounds the attribute count a snapshot may claim: the cubic
-	// outer-product section of a larger schema would exceed maxSectionLen
-	// (8·k³ bytes), so the bound keeps everything we write readable.
+	// maxAttrs bounds the attribute count a snapshot may claim. The counts
+	// section is 4·k²(k+1) bytes — 67 MB at k = 256 — so the bound keeps
+	// it, and a WAL record, under maxSectionLen.
 	maxAttrs = 256
 )
 

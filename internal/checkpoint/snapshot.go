@@ -6,10 +6,9 @@ import (
 
 	"fdx/internal/core"
 	"fdx/internal/fdxerr"
-	"fdx/internal/linalg"
 )
 
-// WriteSnapshot encodes the accumulator state to w in the version-1
+// WriteSnapshot encodes the accumulator state to w in the version-2
 // snapshot format. fingerprint identifies the options the state was
 // accumulated under; restore refuses a snapshot whose fingerprint differs
 // from the caller's options.
@@ -33,6 +32,7 @@ func WriteSnapshot(w io.Writer, st *core.AccumulatorState, fingerprint uint64) e
 	meta.u64(fingerprint)
 	meta.u64(uint64(st.Rows))
 	meta.u64(uint64(st.Batches))
+	meta.u64(uint64(st.Pairs))
 	meta.u32(uint32(k))
 	for _, n := range st.Names {
 		meta.str(n)
@@ -42,60 +42,24 @@ func WriteSnapshot(w io.Writer, st *core.AccumulatorState, fingerprint uint64) e
 	}
 
 	var counts enc
-	for _, c := range st.Count {
-		counts.u64(uint64(c))
+	for _, v := range st.Counts {
+		counts.f64(v)
 	}
 	if err := writeSection(w, secCounts, counts.buf); err != nil {
 		return err
 	}
 
-	var sums enc
-	for _, stratum := range st.Sums {
-		for _, v := range stratum {
-			sums.f64(v)
-		}
+	var ranges enc
+	ranges.u32(uint32(len(st.Ranges)))
+	for _, r := range st.Ranges {
+		ranges.u64(uint64(r.Lo))
+		ranges.u64(uint64(r.Hi))
 	}
-	if err := writeSection(w, secSums, sums.buf); err != nil {
+	if err := writeSection(w, secRanges, ranges.buf); err != nil {
 		return err
-	}
-
-	var outer enc
-	for _, m := range st.Outer {
-		for _, v := range m.Data() {
-			outer.f64(v)
-		}
-	}
-	if err := writeSection(w, secOuter, outer.buf); err != nil {
-		return err
-	}
-
-	// The coverage section is written only when it differs from the
-	// sequential default [0, batches), so unsharded snapshots stay
-	// byte-identical to what pre-sharding builds wrote (and readable by
-	// them — readers skip unknown sections).
-	if !sequentialRanges(st.Ranges, st.Batches) {
-		var ranges enc
-		ranges.u32(uint32(len(st.Ranges)))
-		for _, r := range st.Ranges {
-			ranges.u64(uint64(r.Lo))
-			ranges.u64(uint64(r.Hi))
-		}
-		if err := writeSection(w, secRanges, ranges.buf); err != nil {
-			return err
-		}
 	}
 
 	return writeSection(w, secEnd, nil)
-}
-
-// sequentialRanges reports whether the coverage is the sequential default
-// a rangeless snapshot restores to: empty at zero batches, or the single
-// interval [0, batches).
-func sequentialRanges(rs []core.BatchRange, batches int) bool {
-	if len(rs) == 0 {
-		return batches == 0
-	}
-	return len(rs) == 1 && rs[0].Lo == 0 && rs[0].Hi == batches
 }
 
 // ReadSnapshot decodes a snapshot from r, returning the accumulator state
@@ -145,10 +109,6 @@ func ReadSnapshot(r io.Reader) (*core.AccumulatorState, uint64, error) {
 			st, fingerprint, err = decodeMeta(payload)
 		case secCounts:
 			err = decodeCounts(st, payload)
-		case secSums:
-			err = decodeSums(st, payload)
-		case secOuter:
-			err = decodeOuter(st, payload)
 		case secRanges:
 			err = decodeRanges(st, payload)
 		default:
@@ -162,7 +122,7 @@ func ReadSnapshot(r io.Reader) (*core.AccumulatorState, uint64, error) {
 	if st == nil {
 		return nil, 0, fdxerr.Corrupt("checkpoint: missing meta section")
 	}
-	if !seen[secCounts] || !seen[secSums] || !seen[secOuter] {
+	if !seen[secCounts] || !seen[secRanges] {
 		return nil, 0, fdxerr.Corrupt("checkpoint: missing state sections")
 	}
 	return st, fingerprint, nil
@@ -175,20 +135,22 @@ func decodeMeta(payload []byte) (*core.AccumulatorState, uint64, error) {
 	fingerprint, ok1 := d.u64()
 	rows, ok2 := d.u64()
 	batches, ok3 := d.u64()
-	k, ok4 := d.u32()
-	if !ok1 || !ok2 || !ok3 || !ok4 {
+	pairs, ok4 := d.u64()
+	k, ok5 := d.u32()
+	if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 {
 		return nil, 0, fdxerr.Corrupt("checkpoint: meta section too short")
 	}
 	if k > maxAttrs {
 		return nil, 0, fdxerr.Corrupt("checkpoint: meta claims %d attributes (max %d)", k, maxAttrs)
 	}
-	if rows > 1<<62 || batches > 1<<62 {
+	if rows > 1<<62 || batches > 1<<62 || pairs > 1<<62 {
 		return nil, 0, fdxerr.Corrupt("checkpoint: meta counters out of range")
 	}
 	st := &core.AccumulatorState{
 		Names:   make([]string, k),
 		Rows:    int(rows),
 		Batches: int(batches),
+		Pairs:   int(pairs),
 	}
 	for i := range st.Names {
 		name, ok := d.str()
@@ -203,49 +165,26 @@ func decodeMeta(payload []byte) (*core.AccumulatorState, uint64, error) {
 	return st, fingerprint, nil
 }
 
+// decodeCounts parses the counts section: the k strata's count triangles
+// as float64s. Whether the counts are ones a stream could hold is the
+// core's to judge (NewAccumulatorFromState).
 func decodeCounts(st *core.AccumulatorState, payload []byte) error {
 	if st == nil {
 		return fdxerr.Corrupt("checkpoint: counts section before meta")
 	}
-	k := len(st.Names)
-	if len(payload) != 8*k {
-		return fdxerr.Corrupt("checkpoint: counts section is %d bytes, want %d", len(payload), 8*k)
+	want := 8 * core.CountsLen(len(st.Names))
+	if len(payload) != want {
+		return fdxerr.Corrupt("checkpoint: counts section is %d bytes, want %d", len(payload), want)
 	}
 	d := dec{payload}
-	st.Count = make([]int, k)
-	for s := 0; s < k; s++ {
-		c, _ := d.u64()
-		if c > 1<<62 {
-			return fdxerr.Corrupt("checkpoint: stratum %d count out of range", s)
-		}
-		st.Count[s] = int(c)
+	st.Counts = make([]float64, want/8)
+	for i := range st.Counts {
+		st.Counts[i], _ = d.f64()
 	}
 	return nil
 }
 
-func decodeSums(st *core.AccumulatorState, payload []byte) error {
-	if st == nil {
-		return fdxerr.Corrupt("checkpoint: sums section before meta")
-	}
-	k := len(st.Names)
-	if len(payload) != 8*k*k {
-		return fdxerr.Corrupt("checkpoint: sums section is %d bytes, want %d", len(payload), 8*k*k)
-	}
-	d := dec{payload}
-	st.Sums = make([][]float64, k)
-	for s := 0; s < k; s++ {
-		st.Sums[s] = make([]float64, k)
-		for p := 0; p < k; p++ {
-			st.Sums[s][p], _ = d.f64()
-		}
-	}
-	return nil
-}
-
-// decodeRanges parses the optional batch-coverage section. A snapshot
-// without one restores with nil Ranges, which the core defaults to the
-// sequential coverage [0, batches) — the only coverage pre-sharding
-// writers could have had.
+// decodeRanges parses the batch-coverage section.
 func decodeRanges(st *core.AccumulatorState, payload []byte) error {
 	if st == nil {
 		return fdxerr.Corrupt("checkpoint: ranges section before meta")
@@ -274,26 +213,6 @@ func decodeRanges(st *core.AccumulatorState, payload []byte) error {
 	}
 	if len(d.buf) != 0 {
 		return fdxerr.Corrupt("checkpoint: ranges section has %d trailing bytes", len(d.buf))
-	}
-	return nil
-}
-
-func decodeOuter(st *core.AccumulatorState, payload []byte) error {
-	if st == nil {
-		return fdxerr.Corrupt("checkpoint: outer section before meta")
-	}
-	k := len(st.Names)
-	if len(payload) != 8*k*k*k {
-		return fdxerr.Corrupt("checkpoint: outer section is %d bytes, want %d", len(payload), 8*k*k*k)
-	}
-	d := dec{payload}
-	st.Outer = make([]*linalg.Dense, k)
-	for s := 0; s < k; s++ {
-		data := make([]float64, k*k)
-		for i := range data {
-			data[i], _ = d.f64()
-		}
-		st.Outer[s] = linalg.NewDenseData(k, k, data)
 	}
 	return nil
 }

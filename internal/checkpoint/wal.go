@@ -8,7 +8,6 @@ import (
 
 	"fdx/internal/core"
 	"fdx/internal/fdxerr"
-	"fdx/internal/linalg"
 )
 
 // WAL is an append-only log of batch deltas complementing the snapshot: a
@@ -149,17 +148,18 @@ func ReplayWAL(path string, apply func(*core.BatchDelta) error) (applied int, to
 	return applied, torn, nil
 }
 
-// encodeDelta serializes a batch delta as a WAL record payload: seq, rows,
-// k, global, then the per-stratum sums and outer-product sums. The global
-// field postdates the original layout; decodeDelta discriminates the two
-// by payload length, so logs written before sharding still replay.
+// encodeDelta serializes a batch delta as a WAL record payload (layout in
+// the package doc).
 func encodeDelta(d *core.BatchDelta) ([]byte, error) {
 	if d == nil {
 		return nil, fdxerr.BadInput("checkpoint: nil batch delta")
 	}
-	k := len(d.Sums)
-	if k > maxAttrs {
-		return nil, fdxerr.BadInput("checkpoint: delta has %d strata, format limit %d", k, maxAttrs)
+	k := 0
+	for k < maxAttrs && core.CountsLen(k) < len(d.Counts) {
+		k++
+	}
+	if core.CountsLen(k) != len(d.Counts) {
+		return nil, fdxerr.BadInput("checkpoint: delta has %d counts, not k·k(k+1)/2 for any k ≤ %d", len(d.Counts), maxAttrs)
 	}
 	if d.Global < 0 {
 		return nil, fdxerr.BadInput("checkpoint: delta has negative global index %d", d.Global)
@@ -167,81 +167,46 @@ func encodeDelta(d *core.BatchDelta) ([]byte, error) {
 	var e enc
 	e.u64(uint64(d.Seq))
 	e.u64(uint64(d.Rows))
+	e.u64(uint64(d.Pairs))
 	e.u32(uint32(k))
 	e.u64(uint64(d.Global))
-	for _, stratum := range d.Sums {
-		if len(stratum) != k {
-			return nil, fdxerr.BadInput("checkpoint: delta stratum has %d sums, want %d", len(stratum), k)
-		}
-		for _, v := range stratum {
-			e.f64(v)
-		}
-	}
-	if len(d.Outer) != k {
-		return nil, fdxerr.BadInput("checkpoint: delta has %d outer strata, want %d", len(d.Outer), k)
-	}
-	for _, m := range d.Outer {
-		if r, c := m.Dims(); r != k || c != k {
-			return nil, fdxerr.BadInput("checkpoint: delta outer is %dx%d, want %dx%d", r, c, k, k)
-		}
-		for _, v := range m.Data() {
-			e.f64(v)
-		}
+	for _, v := range d.Counts {
+		e.f64(v)
 	}
 	return e.buf, nil
 }
 
 // decodeDelta parses a WAL record payload. Structural failures wrap
 // ErrCorruptCheckpoint: the payload already passed its CRC, so a
-// malformed layout means the bytes never came from encodeDelta.
+// malformed layout means the bytes never came from encodeDelta. Whether
+// the counts are ones a batch could produce is the core's to judge
+// (Accumulator.ApplyDelta).
 func decodeDelta(payload []byte) (*core.BatchDelta, error) {
 	d := dec{payload}
 	seq, ok1 := d.u64()
 	rows, ok2 := d.u64()
-	k32, ok3 := d.u32()
-	if !ok1 || !ok2 || !ok3 {
+	pairs, ok3 := d.u64()
+	k, ok4 := d.u32()
+	global, ok5 := d.u64()
+	if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 {
 		return nil, fdxerr.Corrupt("checkpoint: wal record too short")
 	}
-	if k32 > maxAttrs || seq > 1<<62 || rows > 1<<62 {
+	if k > maxAttrs || seq > 1<<62 || rows > 1<<62 || pairs > 1<<62 || global > 1<<62 {
 		return nil, fdxerr.Corrupt("checkpoint: wal record fields out of range")
 	}
-	k := int(k32)
-	// Two layouts share the header: the original body is exactly the sums
-	// and outer floats; the sharded layout prefixes a u64 global index.
-	// The 8-byte difference discriminates them for any k. Records without
-	// the field predate sharding, where the global index was always the
-	// 0-based batch position Seq-1.
-	global := seq - 1
-	switch len(d.buf) {
-	case 8 * (k*k + k*k*k):
-	case 8 + 8*(k*k+k*k*k):
-		g, _ := d.u64()
-		if g > 1<<62 {
-			return nil, fdxerr.Corrupt("checkpoint: wal record global index out of range")
-		}
-		global = g
-	default:
-		return nil, fdxerr.Corrupt("checkpoint: wal record body is %d bytes, want %d", len(d.buf), 8+8*(k*k+k*k*k))
+	n := core.CountsLen(int(k))
+	if len(d.buf) != 8*n {
+		return nil, fdxerr.Corrupt("checkpoint: wal record body is %d bytes, want %d", len(d.buf), 8*n)
 	}
 	out := &core.BatchDelta{
 		Seq:    int(seq),
 		Global: int(global),
 		Rows:   int(rows),
-		Sums:   make([][]float64, k),
-		Outer:  make([]*linalg.Dense, k),
+		Pairs:  int(pairs),
+		Counts: make([]float64, n),
 	}
-	for s := 0; s < k; s++ {
-		out.Sums[s] = make([]float64, k)
-		for p := 0; p < k; p++ {
-			out.Sums[s][p], _ = d.f64()
-		}
-	}
-	for s := 0; s < k; s++ {
-		data := make([]float64, k*k)
-		for i := range data {
-			data[i], _ = d.f64()
-		}
-		out.Outer[s] = linalg.NewDenseData(k, k, data)
+	for i := range out.Counts {
+		out.Counts[i], _ = d.f64()
 	}
 	return out, nil
 }

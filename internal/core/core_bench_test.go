@@ -48,14 +48,11 @@ func benchTransform(b *testing.B, rows, cols int) {
 
 func benchPairMoments(b *testing.B, rows, cols int) {
 	rel := benchRelation(rows, cols)
-	size := cols * (cols + 1) / 2
-	counts := make([]float64, cols*size)
-	off := rowOffsets(cols, true)
-	stratum := func(s int) []float64 { return counts[s*size : (s+1)*size] }
+	counts := make([]float64, CountsLen(cols))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pairCounts(context.Background(), rel, TransformOptions{Seed: 1}, off, stratum); err != nil {
+		if _, err := pairCounts(context.Background(), rel, TransformOptions{Seed: 1}, counts); err != nil {
 			b.Fatal(err)
 		}
 	}

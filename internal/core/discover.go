@@ -19,6 +19,10 @@ import (
 	"fdx/internal/stats"
 )
 
+// graphTol is the |Θ| cutoff when building the sparsity graph fed to the
+// ordering heuristic.
+const graphTol = 1e-4
+
 // Options configures the FDX discovery pipeline.
 type Options struct {
 	// Lambda is the Graphical Lasso sparsity penalty (paper Table 8 sweeps
@@ -42,16 +46,6 @@ type Options struct {
 	// Ordering names the column-ordering heuristic (see internal/ordering);
 	// default "heuristic" (minimum degree), the paper's default.
 	Ordering string
-	// GraphTol is the |Θ| cutoff when building the sparsity graph fed to
-	// the ordering heuristic.
-	GraphTol float64
-	// UseCorrelation normalizes the pair-sample covariance to a correlation
-	// matrix before structure learning, making Lambda and Threshold
-	// scale-free across attributes. Enabled by default.
-	UseCorrelation bool
-	// RawCovariance disables UseCorrelation when true (kept separate so the
-	// zero Options value means "paper defaults").
-	RawCovariance bool
 	// PooledCovariance disables the stratified (per-sort-block) covariance
 	// estimator and pools all pair samples into one covariance, as a naive
 	// reading of Alg. 2 would. Pooling lets the blocks' different marginal
@@ -102,9 +96,6 @@ func (o *Options) defaults() {
 	// any non-positive fraction as disabled.
 	if o.Ordering == "" {
 		o.Ordering = ordering.Heuristic
-	}
-	if o.GraphTol == 0 {
-		o.GraphTol = 1e-4
 	}
 	o.Transform.Seed = o.Seed
 	// The transform inherits the pipeline's telemetry sinks; it never has
@@ -281,9 +272,8 @@ func DiscoverFromCovarianceContext(ctx context.Context, s *linalg.Dense, names [
 	psp := opts.Obs.StartStage("prepare")
 	diag.SanitizedColumns = sanitizeCovariance(s)
 
-	if !opts.RawCovariance {
-		stats.CorrelationInPlace(s)
-	}
+	// Correlation makes Lambda and Threshold scale-free across attributes.
+	stats.CorrelationInPlace(s)
 	// Light shrinkage keeps the estimate well-conditioned when columns are
 	// (nearly) collinear — exact FDs make Z columns exactly dependent.
 	stats.ShrinkInPlace(s, 0.05)
@@ -554,7 +544,7 @@ func orderAndFactorize(ctx context.Context, theta *linalg.Dense, diag *Diagnosti
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, nil, fdxerr.Cancelled(cerr)
 	}
-	g := ordering.FromPrecision(theta, opts.GraphTol)
+	g := ordering.FromPrecision(theta, graphTol)
 	perm, err := ordering.OrderObs(opts.Ordering, g, opts.Seed, opts.Obs)
 	if err != nil {
 		// Already ErrBadInput-wrapped by the ordering package.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 
 	"fdx/internal/dataset"
 	"fdx/internal/fdxerr"
@@ -14,21 +15,24 @@ import (
 // after every batch without retransforming history — the dynamic-data
 // direction the paper's related work (DynFD) motivates.
 //
-// Each batch is transformed on its own (Alg. 2 within the batch) and its
-// per-stratum first and second moments are folded into running sums; the
-// per-stratum covariances are then pooled exactly as in batch discovery.
-// Pairs never span batches, so the estimate is an approximation of the
-// full recompute that converges as batches grow; Discover on the
-// concatenation remains the reference semantics.
+// Each batch's pairs (Alg. 2 within the batch) are counted by the same
+// fused kernel batch discovery runs, and its per-stratum agreement counts
+// are added into running totals; S is then evaluated from the totals by
+// the same helper as in batch discovery, so a one-batch stream is
+// bit-identical to Discover. Pairs never span batches, so on longer
+// streams the estimate is an approximation of the full recompute that
+// converges as batches grow; Discover on the concatenation remains the
+// reference semantics.
 type Accumulator struct {
 	names []string
 	opts  Options
 
-	// Per stratum (= per attribute): observation count, per-column sums,
-	// and the sum of outer products.
-	count []int
-	sums  [][]float64
-	outer []*linalg.Dense
+	// counts holds one count triangle per stratum (= per attribute), back
+	// to back, in pairCounts' packed layout: k(k+1)/2 entries each. pairs
+	// is the number of pairs every stratum has counted — a batch of n rows
+	// contributes min(n, MaxRows) — and the n each triangle is over.
+	counts []float64
+	pairs  int
 
 	rows    int
 	batches int
@@ -156,20 +160,16 @@ func validRanges(rs []BatchRange) bool {
 // NewAccumulator creates an accumulator for relations with the given
 // attribute names.
 func NewAccumulator(attrNames []string, opts Options) *Accumulator {
-	k := len(attrNames)
-	a := &Accumulator{
-		names: append([]string(nil), attrNames...),
-		opts:  opts,
-		count: make([]int, k),
-		sums:  make([][]float64, k),
-		outer: make([]*linalg.Dense, k),
+	return &Accumulator{
+		names:  append([]string(nil), attrNames...),
+		opts:   opts,
+		counts: make([]float64, CountsLen(len(attrNames))),
 	}
-	for s := 0; s < k; s++ {
-		a.sums[s] = make([]float64, k)
-		a.outer[s] = linalg.NewDense(k, k)
-	}
-	return a
 }
+
+// CountsLen is the number of entries in k strata's count triangles, the
+// length of AccumulatorState.Counts and BatchDelta.Counts.
+func CountsLen(k int) int { return k * k * (k + 1) / 2 }
 
 // Rows returns the total number of tuples absorbed.
 func (a *Accumulator) Rows() int { return a.rows }
@@ -190,12 +190,14 @@ type BatchDelta struct {
 	// It seeded the batch's transform (Options.Seed + Global) and extends
 	// the accumulator's coverage; for an unsharded stream it is Seq-1.
 	Global int
-	// Rows is the batch's tuple count (added to every stratum's count).
+	// Rows is the batch's tuple count.
 	Rows int
-	// Sums[s] is the batch's per-stratum sum of transformed sample rows.
-	Sums [][]float64
-	// Outer[s] is the batch's per-stratum sum of outer products.
-	Outer []*linalg.Dense
+	// Pairs is the number of pairs each stratum of the batch counted: Rows
+	// cut to Options.Transform.MaxRows.
+	Pairs int
+	// Counts holds the batch's per-stratum count triangles in the
+	// accumulator's layout (see Accumulator.counts).
+	Counts []float64
 }
 
 // Add transforms one batch of tuples and folds its statistics in. The
@@ -270,37 +272,21 @@ func (a *Accumulator) AbsorbAt(rel *dataset.Relation, global int) (*BatchDelta, 
 	topts := a.opts.Transform
 	topts.Obs = h
 	topts.Seed = a.opts.Seed + int64(global)
-	// The kernel writes each stratum's agreement counts straight into the
-	// upper triangle of Outer[s]: on 0/1 samples they are exactly the
-	// outer-product sums, and the diagonal holds the per-column sums.
 	d := &BatchDelta{
 		Seq:    a.batches + 1,
 		Global: global,
 		Rows:   n,
-		Sums:   make([][]float64, k),
-		Outer:  make([]*linalg.Dense, k),
+		Counts: make([]float64, CountsLen(k)),
 	}
-	sums := make([]float64, k*k)
-	outer := make([]float64, k*k*k)
-	for s := 0; s < k; s++ {
-		d.Sums[s] = sums[s*k : (s+1)*k]
-		d.Outer[s] = linalg.NewDenseData(k, k, outer[s*k*k:(s+1)*k*k])
-	}
-	if _, err := pairCounts(context.Background(), rel, topts, rowOffsets(k, false), func(s int) []float64 { return d.Outer[s].Data() }); err != nil {
+	pairs, err := pairCounts(context.Background(), rel, topts, d.Counts)
+	if err != nil {
 		return nil, err
 	}
+	d.Pairs = pairs
 	asp := h.StartStage("accumulate")
-	for s := 0; s < k; s++ {
-		out := d.Outer[s]
-		for p := 0; p < k; p++ {
-			d.Sums[s][p] = out.At(p, p)
-			for q := p + 1; q < k; q++ {
-				out.Set(q, p, out.At(p, q))
-			}
-		}
-	}
+	err = a.ApplyDelta(d)
 	asp.End()
-	if err := a.ApplyDelta(d); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	h.Count(obs.MRowsAbsorbed, uint64(n))
@@ -308,11 +294,11 @@ func (a *Accumulator) AbsorbAt(rel *dataset.Relation, global int) (*BatchDelta, 
 	return d, nil
 }
 
-// ApplyDelta folds a batch's statistics delta into the running sums — the
-// WAL replay path. The delta must be the next one in sequence (Seq equal
-// to Batches()+1) and match the accumulator's dimensionality.
+// ApplyDelta folds a batch's statistics delta into the running totals —
+// the WAL replay path. The delta must be the next one in sequence (Seq
+// equal to Batches()+1), match the accumulator's dimensionality, and hold
+// counts some batch could have produced (see checkPairCounts).
 func (a *Accumulator) ApplyDelta(d *BatchDelta) error {
-	k := len(a.names)
 	if d == nil {
 		return fdxerr.BadInput("core: nil batch delta")
 	}
@@ -328,31 +314,14 @@ func (a *Accumulator) ApplyDelta(d *BatchDelta) error {
 	if d.Rows < 2 {
 		return fdxerr.BadInput("core: batch delta covers %d rows, need at least 2", d.Rows)
 	}
-	if len(d.Sums) != k || len(d.Outer) != k {
-		return fdxerr.BadInput("core: batch delta has %d/%d strata, accumulator has %d", len(d.Sums), len(d.Outer), k)
+	if len(d.Counts) != len(a.counts) {
+		return fdxerr.BadInput("core: batch delta has %d counts, accumulator has %d", len(d.Counts), len(a.counts))
 	}
-	for s := 0; s < k; s++ {
-		if len(d.Sums[s]) != k {
-			return fdxerr.BadInput("core: batch delta stratum %d has %d sums, want %d", s, len(d.Sums[s]), k)
-		}
-		if d.Outer[s] == nil {
-			return fdxerr.BadInput("core: batch delta stratum %d has nil outer product", s)
-		}
-		if r, c := d.Outer[s].Dims(); r != k || c != k {
-			return fdxerr.BadInput("core: batch delta stratum %d outer is %dx%d, want %dx%d", s, r, c, k, k)
-		}
+	if err := checkPairCounts("batch delta", d.Counts, d.Pairs, 1, d.Rows); err != nil {
+		return err
 	}
-	for s := 0; s < k; s++ {
-		a.count[s] += d.Rows
-		sums := a.sums[s]
-		for p, v := range d.Sums[s] {
-			sums[p] += v
-		}
-		dst := a.outer[s].Data()
-		for i, v := range d.Outer[s].Data() {
-			dst[i] += v
-		}
-	}
+	linalg.Axpy(1, d.Counts, a.counts)
+	a.pairs += d.Pairs
 	a.rows += d.Rows
 	a.batches++
 	a.ranges = rangesInsert(a.ranges, d.Global)
@@ -366,32 +335,24 @@ type AccumulatorState struct {
 	Names   []string
 	Rows    int
 	Batches int
-	Count   []int
-	Sums    [][]float64
-	Outer   []*linalg.Dense
-	// Ranges is the batch coverage in canonical form. Nil means the state
-	// predates sharding (a version-1 snapshot without a ranges section)
-	// and defaults to the sequential coverage [0, Batches).
+	// Pairs and Counts are the accumulator's pair total and per-stratum
+	// count triangles (see Accumulator.counts).
+	Pairs  int
+	Counts []float64
+	// Ranges is the batch coverage in canonical form.
 	Ranges []BatchRange
 }
 
 // State returns a deep copy of the accumulator's serializable state.
 func (a *Accumulator) State() *AccumulatorState {
-	k := len(a.names)
-	st := &AccumulatorState{
+	return &AccumulatorState{
 		Names:   append([]string(nil), a.names...),
 		Rows:    a.rows,
 		Batches: a.batches,
-		Count:   append([]int(nil), a.count...),
-		Sums:    make([][]float64, k),
-		Outer:   make([]*linalg.Dense, k),
+		Pairs:   a.pairs,
+		Counts:  append([]float64(nil), a.counts...),
 		Ranges:  append([]BatchRange(nil), a.ranges...),
 	}
-	for s := 0; s < k; s++ {
-		st.Sums[s] = append([]float64(nil), a.sums[s]...)
-		st.Outer[s] = a.outer[s].Clone()
-	}
-	return st
 }
 
 // Options returns a copy of the accumulator's pipeline configuration.
@@ -407,42 +368,46 @@ func NewAccumulatorFromState(st *AccumulatorState, opts Options) (*Accumulator, 
 	if st.Rows < 0 || st.Batches < 0 || (st.Rows > 0 && st.Batches == 0) || (st.Batches > 0 && st.Rows < 2*st.Batches) {
 		return nil, fdxerr.BadInput("core: state has impossible counters rows=%d batches=%d", st.Rows, st.Batches)
 	}
-	ranges := st.Ranges
-	if ranges == nil && st.Batches > 0 {
-		// Pre-sharding state: sequential coverage.
-		ranges = []BatchRange{{Lo: 0, Hi: st.Batches}}
+	if !validRanges(st.Ranges) {
+		return nil, fdxerr.BadInput("core: state batch coverage %v is not sorted, disjoint, and coalesced", st.Ranges)
 	}
-	if !validRanges(ranges) {
-		return nil, fdxerr.BadInput("core: state batch coverage %v is not sorted, disjoint, and coalesced", ranges)
+	if rangesBatches(st.Ranges) != st.Batches {
+		return nil, fdxerr.BadInput("core: state coverage spans %d batches, counters say %d", rangesBatches(st.Ranges), st.Batches)
 	}
-	if rangesBatches(ranges) != st.Batches {
-		return nil, fdxerr.BadInput("core: state coverage spans %d batches, counters say %d", rangesBatches(ranges), st.Batches)
+	if len(st.Counts) != CountsLen(k) {
+		return nil, fdxerr.BadInput("core: state has %d counts, want %d for %d attributes", len(st.Counts), CountsLen(k), k)
 	}
-	if len(st.Count) != k || len(st.Sums) != k || len(st.Outer) != k {
-		return nil, fdxerr.BadInput("core: state has %d/%d/%d strata, want %d", len(st.Count), len(st.Sums), len(st.Outer), k)
+	if err := checkPairCounts("state", st.Counts, st.Pairs, st.Batches, st.Rows); err != nil {
+		return nil, err
 	}
 	a := NewAccumulator(st.Names, opts)
-	for s := 0; s < k; s++ {
-		if st.Count[s] < 0 || st.Count[s] > st.Rows {
-			return nil, fdxerr.BadInput("core: state stratum %d count %d out of range [0, %d]", s, st.Count[s], st.Rows)
-		}
-		if len(st.Sums[s]) != k {
-			return nil, fdxerr.BadInput("core: state stratum %d has %d sums, want %d", s, len(st.Sums[s]), k)
-		}
-		if st.Outer[s] == nil {
-			return nil, fdxerr.BadInput("core: state stratum %d has nil outer product", s)
-		}
-		if r, c := st.Outer[s].Dims(); r != k || c != k {
-			return nil, fdxerr.BadInput("core: state stratum %d outer is %dx%d, want %dx%d", s, r, c, k, k)
-		}
-		a.count[s] = st.Count[s]
-		copy(a.sums[s], st.Sums[s])
-		copy(a.outer[s].Data(), st.Outer[s].Data())
-	}
+	copy(a.counts, st.Counts)
+	a.pairs = st.Pairs
 	a.rows = st.Rows
 	a.batches = st.Batches
-	a.ranges = append([]BatchRange(nil), ranges...)
+	a.ranges = append([]BatchRange(nil), st.Ranges...)
 	return a, nil
+}
+
+// checkPairCounts rejects pair statistics no absorbed batches could have
+// produced — the guard for a delta or state decoded from bytes outside the
+// program (a snapshot, WAL record or shipped shard that passed its CRC).
+// pairs must lie in [minPairs, rows], and every count must be a whole
+// number in [0, pairs], since it counts some of those pairs. Without the
+// guard a NaN, negative or fractional count would poison S for good.
+// (fdx:numeric-kernel: counts are integers held in float64; the negated
+// conjunction also rejects NaN.)
+func checkPairCounts(what string, counts []float64, pairs, minPairs, rows int) error {
+	if pairs < minPairs || pairs > rows {
+		return fdxerr.BadInput("core: %s has %d pairs, want [%d, %d]", what, pairs, minPairs, rows)
+	}
+	p := float64(pairs)
+	for i, c := range counts {
+		if !(c >= 0 && c <= p && c == math.Trunc(c)) {
+			return fdxerr.BadInput("core: %s count %d is %v, want a whole number in [0, %d]", what, i, c, pairs)
+		}
+	}
+	return nil
 }
 
 // Merge folds another accumulator's statistics into this one — the scale-
@@ -456,9 +421,8 @@ func NewAccumulatorFromState(st *AccumulatorState, opts Options) (*Accumulator, 
 //
 // A donor whose coverage this accumulator already contains entirely is a
 // duplicate delivery — Merge reports applied=false and changes nothing,
-// making shard shipping idempotent. The transform emits only 0/1 samples,
-// so every accumulated statistic is an integer-valued float64 and the
-// fold is exact: the merged state is bit-identical to absorbing the same
+// making shard shipping idempotent. Every accumulated statistic is a
+// pair count held as an integer-valued float64, so the fold is exact: the merged state is bit-identical to absorbing the same
 // batches sequentially, in any merge order. Options fingerprints are the
 // caller's to check (the fdx root layer does) — core cannot see the
 // checkpoint fingerprint without an import cycle. The donor is never
@@ -482,61 +446,29 @@ func (a *Accumulator) Merge(other *Accumulator) (applied bool, err error) {
 	if overlap {
 		return false, fdxerr.ShardMismatch("core: merge coverage %v overlaps %v", other.ranges, a.ranges)
 	}
-	k := len(a.names)
-	for s := 0; s < k; s++ {
-		a.count[s] += other.count[s]
-		sums := a.sums[s]
-		for p, v := range other.sums[s] {
-			sums[p] += v
-		}
-		dst := a.outer[s].Data()
-		for i, v := range other.outer[s].Data() {
-			dst[i] += v
-		}
-	}
+	linalg.Axpy(1, other.counts, a.counts)
+	a.pairs += other.pairs
 	a.rows += other.rows
 	a.batches += other.batches
 	a.ranges = union
 	return true, nil
 }
 
-// Covariance returns the pooled per-stratum covariance estimate built from
-// the absorbed batches.
+// Covariance returns S evaluated from the absorbed batches' pair counts,
+// as batch discovery evaluates it (see countCovariance).
 func (a *Accumulator) Covariance() (*linalg.Dense, error) {
 	return a.covariance(a.opts.Obs)
 }
 
 // covariance is Covariance reporting under the given telemetry context,
 // so the stage span can nest under a caller's "discover" root.
-// (fdx:numeric-kernel: a stratum's count is an integer held in float64;
-// exactly zero means the stratum absorbed no rows and is skipped.)
 func (a *Accumulator) covariance(h obs.Hooks) (*linalg.Dense, error) {
-	k := len(a.names)
 	if a.rows == 0 {
 		return nil, fdxerr.BadInput("core: accumulator has no data")
 	}
-	sp := h.StartStage("covariance")
-	defer sp.End()
-	sp.Attr("dim", k)
-	sp.Attr("batches", a.batches)
-	acc := linalg.NewDense(k, k)
-	for s := 0; s < k; s++ {
-		n := float64(a.count[s])
-		if n == 0 {
-			continue
-		}
-		for p := 0; p < k; p++ {
-			mp := a.sums[s][p] / n
-			for q := 0; q < k; q++ {
-				mq := a.sums[s][q] / n
-				cov := a.outer[s].At(p, q)/n - mp*mq
-				acc.Add(p, q, cov)
-			}
-		}
-	}
-	acc.Scale(1 / float64(k))
-	acc.Symmetrize()
-	return acc, nil
+	opts := a.opts
+	opts.Obs = h
+	return countCovariance(a.pairs, a.counts, len(a.names), opts), nil
 }
 
 // Discover derives the current model from the accumulated statistics.

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"strconv"
 	"testing"
 
 	"fdx/internal/dataset"
-	"fdx/internal/linalg"
 	"fdx/internal/stats"
 )
 
@@ -34,21 +36,76 @@ func TestAccumulatorSchemaChecks(t *testing.T) {
 	}
 }
 
-func TestAccumulatorSingleBatchMatchesBatchCovariance(t *testing.T) {
+// mixedFDRelation is makeFDRelation plus a numeric column determined by a
+// and a text column determined by c, each drawn with near-duplicate
+// values, so NumericTol and TextSimilarity change which pairs agree.
+func mixedFDRelation(rng *rand.Rand, n int) *dataset.Relation {
+	rel := makeFDRelation(rng, n, 0.02)
+	texts := [][]string{
+		{"chicago", "chicagoo"},
+		{"3435 W Washington Ave", "3435 W Washington Av"},
+		{"naïve café", "naive cafe"},
+		{"日本語テキスト", "日本語テキス"},
+	}
+	x := dataset.NewColumn("x", dataset.Numeric)
+	s := dataset.NewColumn("s", dataset.Text)
+	for i := 0; i < n; i++ {
+		a, c := int(rel.Columns[0].Code(i)), int(rel.Columns[2].Code(i))
+		x.AppendValue(strconv.FormatFloat(float64(a)+0.01*float64(rng.Intn(3)), 'g', -1, 64))
+		s.AppendValue(texts[c%len(texts)][rng.Intn(2)])
+	}
+	rel.Columns = append(rel.Columns, x, s)
+	return rel
+}
+
+// TestAccumulatorSingleBatchMatchesDiscover pins the stream to batch
+// discovery: one Add followed by Discover is Discover, bit for bit — S,
+// B, Θ, the order and the FDs — because both count the batch's pairs with
+// the same kernel and evaluate S from the counts through countCovariance.
+// MaxRows values below n check that S divides by the pairs counted, not
+// the rows absorbed.
+func TestAccumulatorSingleBatchMatchesDiscover(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	rel := makeFDRelation(rng, 400, 0)
-	a := NewAccumulator(rel.AttrNames(), Options{Seed: 7})
-	if err := a.Add(rel); err != nil {
-		t.Fatal(err)
-	}
-	got, err := a.Covariance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dt := Transform(rel, TransformOptions{Seed: 7})
-	want := stats.StratifiedCovariance(dt, rel.NumCols())
-	if d := linalg.MaxAbsDiff(got, want); d > 1e-9 {
-		t.Errorf("single-batch covariance differs from batch estimator by %v", d)
+	for _, n := range []int{333, 400, 1000} {
+		rel := mixedFDRelation(rng, n)
+		for _, maxRows := range []int{0, 100, 257} {
+			for _, workers := range []int{1, 2, 8} {
+				name := fmt.Sprintf("n=%d/maxrows=%d/workers=%d", n, maxRows, workers)
+				opts := Options{Seed: 7, Workers: workers}
+				opts.Transform = TransformOptions{MaxRows: maxRows, NumericTol: 0.125, TextSimilarity: true, Workers: workers}
+				want, err := Discover(rel, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a := NewAccumulator(rel.AttrNames(), opts)
+				if err := a.Add(rel); err != nil {
+					t.Fatal(err)
+				}
+				s, err := a.Covariance()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if where, ok := bitsEqual(s, kernelCovariance(t, rel, opts)); !ok {
+					t.Fatalf("%s: S differs from batch discovery: %s", name, where)
+				}
+				got, err := a.Discover()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if where, ok := bitsEqual(got.B, want.B); !ok {
+					t.Fatalf("%s: B differs: %s", name, where)
+				}
+				if where, ok := bitsEqual(got.Theta, want.Theta); !ok {
+					t.Fatalf("%s: Θ differs: %s", name, where)
+				}
+				if !reflect.DeepEqual(got.Order, want.Order) {
+					t.Fatalf("%s: order %v, want %v", name, got.Order, want.Order)
+				}
+				if !reflect.DeepEqual(got.FDs, want.FDs) {
+					t.Fatalf("%s: FDs %s, want %s", name, got.FormatFDs(), want.FormatFDs())
+				}
+			}
+		}
 	}
 }
 
@@ -128,8 +185,8 @@ func TestAccumulateStratumZeroAlloc(t *testing.T) {
 	}
 	defer pk.release()
 	k := rel.NumCols()
-	off := rowOffsets(k, false)
-	out := make([]float64, k*k)
+	off := rowOffsets(k)
+	out := make([]float64, k*(k+1)/2)
 	sc := getPairScratch()
 	defer pairPool.Put(sc)
 	pk.stratum(context.Background(), 2, sc, off, out)

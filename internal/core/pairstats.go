@@ -121,13 +121,14 @@ func (pk *pairKernel) release() { pairPool.Put(pk.buf) }
 
 // pairCounts runs the fused kernel over every stratum (one per attribute),
 // fanning strata across Workers goroutines. For stratum s it adds the
-// agreement counts of the stratum's pairs into dst(s): the count of pairs
-// agreeing on both l and m at dst(s)[off[l]+m] for every m ≥ l (the
-// diagonal m = l is attribute l's own agreement count). Each stratum
-// writes only its own dst(s), so the output is identical at any worker
+// agreement counts of the stratum's pairs into its count triangle, the
+// k(k+1)/2 entries of counts from s·k(k+1)/2 on: the count of pairs
+// agreeing on both l and m at offset rowOffsets(k)[l]+m for every m ≥ l
+// (the diagonal m = l is attribute l's own agreement count). Each stratum
+// writes only its own triangle, so the output is identical at any worker
 // count. It returns the effective tuple count n (after MaxRows); every
-// stratum holds n pairs.
-func pairCounts(ctx context.Context, rel *dataset.Relation, opts TransformOptions, off []int, dst func(s int) []float64) (int, error) {
+// stratum holds n pairs. counts must hold CountsLen(k) entries.
+func pairCounts(ctx context.Context, rel *dataset.Relation, opts TransformOptions, counts []float64) (int, error) {
 	opts.defaults()
 	n, k := transformDims(rel, &opts)
 	if n == 0 || k == 0 {
@@ -151,6 +152,7 @@ func pairCounts(ctx context.Context, rel *dataset.Relation, opts TransformOption
 		return 0, err
 	}
 	defer pk.release()
+	off, size := rowOffsets(k), k*(k+1)/2
 	pool := par.New(workers)
 	pool.For(k, 1, func(lo, hi int) {
 		sc := getPairScratch()
@@ -161,7 +163,7 @@ func pairCounts(ctx context.Context, rel *dataset.Relation, opts TransformOption
 			bsp := tsp.Child("block")
 			bsp.Attr("attr", rel.Columns[s].Name)
 			faults.Sleep(faults.SlowStage)
-			pk.stratum(ctx, s, sc, off, dst(s))
+			pk.stratum(ctx, s, sc, off, counts[s*size:(s+1)*size])
 			bsp.End()
 		}
 		pairPool.Put(sc)
@@ -284,40 +286,41 @@ func (pk *pairKernel) sortBy(s int, sc *pairScratch) []int {
 	return perm
 }
 
-// rowOffsets returns where row l of a k×k upper triangle starts, so that
-// entry (l, m), m ≥ l, lives at off[l]+m: packed row by row (k(k+1)/2
-// entries, the stats count-triangle layout) or in a row-major k×k matrix.
-func rowOffsets(k int, packed bool) []int {
+// rowOffsets returns where row l of a packed k×k upper triangle starts,
+// so that entry (l, m), m ≥ l, lives at off[l]+m: rows back to back,
+// k(k+1)/2 entries in all — the stats count-triangle layout.
+func rowOffsets(k int) []int {
 	off := make([]int, k)
 	for l := range off {
-		off[l] = l * k
-		if packed {
-			off[l] -= l * (l + 1) / 2
-		}
+		off[l] = l*k - l*(l+1)/2
 	}
 	return off
 }
 
 // pairCovariance is the batch path's pair statistics through S: the fused
-// kernel's per-stratum counts (the "transform" stage), then the
-// stratified covariance — or, under PooledCovariance, the pooled one —
-// evaluated from those counts (the "covariance" stage). Bit-identical to
-// stats.StratifiedCovariance (stats.Covariance) of TransformContext's
-// sample matrix.
+// kernel's per-stratum counts (the "transform" stage), then countCovariance
+// (the "covariance" stage). Bit-identical to stats.StratifiedCovariance
+// (stats.Covariance) of TransformContext's sample matrix.
 func pairCovariance(ctx context.Context, rel *dataset.Relation, opts Options) (*linalg.Dense, error) {
 	k := rel.NumCols()
-	size := k * (k + 1) / 2
-	counts := make([]float64, k*size)
-	stratum := func(s int) []float64 { return counts[s*size : (s+1)*size] }
-	n, err := pairCounts(ctx, rel, opts.Transform, rowOffsets(k, true), stratum)
+	counts := make([]float64, CountsLen(k))
+	n, err := pairCounts(ctx, rel, opts.Transform, counts)
 	if err != nil {
 		return nil, err
 	}
+	return countCovariance(n, counts, k, opts), nil
+}
+
+// countCovariance evaluates S from k strata's count triangles, each over n
+// pairs: the stratified covariance, or under PooledCovariance the pooled
+// one. Batch discovery and the accumulator both end here, so equal counts
+// give equal bits whichever path produced them.
+func countCovariance(n int, counts []float64, k int, opts Options) *linalg.Dense {
 	csp := opts.Obs.StartStage("covariance")
 	defer csp.End()
 	csp.Attr("dim", k)
 	if opts.PooledCovariance {
-		return stats.PooledCountCovariance(n, counts, k), nil
+		return stats.PooledCountCovariance(n, counts, k)
 	}
-	return stats.StratifiedCountCovariance(n, counts, k), nil
+	return stats.StratifiedCountCovariance(n, counts, k)
 }

@@ -19,34 +19,45 @@ import (
 // folded by stats.StratifiedCovariance / stats.Covariance, and — for the
 // accumulator — by accumulateStratum below.
 
-// accumulateStratum is the dense reference of the accumulator's per-batch
-// moments: it folds the sn sample rows of stratum s of a Transform matrix
-// into the per-column sums and the outer-product sum. Only the upper
-// triangle is accumulated — via fused Axpy updates over each row's tail —
-// and then mirrored.
+// accumulateStratum is the dense reference of a stratum's count triangle:
+// it folds the sn sample rows of stratum s of a Transform matrix into the
+// upper triangle of the outer-product sum out, via fused Axpy updates over
+// each row's tail. On 0/1 samples out[l][m], m ≥ l, counts the pairs
+// agreeing on both l and m.
 // Panics if out is not k×k or dt's rows cannot cover the stratum.
-func accumulateStratum(dt *linalg.Dense, s, sn int, sums []float64, out *linalg.Dense) {
-	k := len(sums)
+func accumulateStratum(dt *linalg.Dense, s, sn int, out *linalg.Dense) {
+	_, k := dt.Dims()
 	if r, c := out.Dims(); r != k || c != k {
 		panic("core: accumulateStratum outer product is not k×k")
 	}
-	if rows, cols := dt.Dims(); cols != k || (s+1)*sn > rows {
+	if (s+1)*sn > dt.Rows() {
 		panic("core: accumulateStratum stratum exceeds transform rows")
 	}
 	for i := 0; i < sn; i++ {
 		row := dt.Row(s*sn + i)
 		for p := 0; p < k; p++ {
-			vp := row[p]
-			if vp == 0 {
-				continue
+			if vp := row[p]; vp != 0 {
+				linalg.Axpy(vp, row[p:], out.Row(p)[p:])
 			}
-			sums[p] += vp
-			linalg.Axpy(vp, row[p:], out.Row(p)[p:])
 		}
 	}
-	for p := 0; p < k; p++ {
-		for q := p + 1; q < k; q++ {
-			out.Set(q, p, out.At(p, q))
+}
+
+// checkCountTriangles compares k strata's packed count triangles against
+// accumulateStratum over the n-pair strata of the sample matrix dt, bit
+// for bit.
+func checkCountTriangles(t *testing.T, label string, counts []float64, dt *linalg.Dense, n, k int) {
+	t.Helper()
+	size, off := k*(k+1)/2, rowOffsets(k)
+	for s := 0; s < k && n > 0; s++ {
+		out := linalg.NewDense(k, k)
+		accumulateStratum(dt, s, n, out)
+		for l := 0; l < k; l++ {
+			for m := l; m < k; m++ {
+				if got, want := counts[s*size+off[l]+m], out.At(l, m); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s stratum %d count (%d,%d) = %v, want %v", label, s, l, m, got, want)
+				}
+			}
 		}
 	}
 }
@@ -325,20 +336,10 @@ func TestAbsorbDeltaMatchesDenseOracle(t *testing.T) {
 			}
 			topts := opts.Transform
 			topts.Seed = opts.Seed + global
-			dt := Transform(rel, topts)
-			for s := 0; s < k; s++ {
-				sums := make([]float64, k)
-				out := linalg.NewDense(k, k)
-				accumulateStratum(dt, s, n, sums, out)
-				if where, ok := bitsEqual(d.Outer[s], out); !ok {
-					t.Fatalf("%s workers=%d stratum %d outer: %s", tc.name, workers, s, where)
-				}
-				for p := range sums {
-					if math.Float64bits(d.Sums[s][p]) != math.Float64bits(sums[p]) {
-						t.Fatalf("%s workers=%d stratum %d sum %d: %v vs %v", tc.name, workers, s, p, d.Sums[s][p], sums[p])
-					}
-				}
+			if d.Pairs != n {
+				t.Fatalf("%s workers=%d: delta counts %d pairs, want %d", tc.name, workers, d.Pairs, n)
 			}
+			checkCountTriangles(t, fmt.Sprintf("%s workers=%d", tc.name, workers), d.Counts, Transform(rel, topts), n, k)
 		}
 	}
 }
@@ -435,23 +436,11 @@ func FuzzPairMoments(f *testing.F) {
 		topts := opts.Transform
 		topts.defaults()
 		k := rel.NumCols()
-		counts := make([]float64, k*k*k)
-		n, err := pairCounts(context.Background(), rel, topts, rowOffsets(k, false), func(s int) []float64 { return counts[s*k*k : (s+1)*k*k] })
+		counts := make([]float64, CountsLen(k))
+		n, err := pairCounts(context.Background(), rel, topts, counts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dt := Transform(rel, topts)
-		for s := 0; s < k && n > 0; s++ {
-			sums := make([]float64, k)
-			out := linalg.NewDense(k, k)
-			accumulateStratum(dt, s, n, sums, out)
-			for l := 0; l < k; l++ {
-				for m := l; m < k; m++ {
-					if got, want := counts[s*k*k+l*k+m], out.At(l, m); got != want {
-						t.Fatalf("stratum %d count (%d,%d) = %v, want %v", s, l, m, got, want)
-					}
-				}
-			}
-		}
+		checkCountTriangles(t, "fuzz", counts, Transform(rel, topts), n, k)
 	})
 }

@@ -3,9 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -162,6 +165,73 @@ func TestShardShipCorruptSnapshot(t *testing.T) {
 	// The failed seq was never acknowledged; a valid retry under it lands.
 	if !mustShip(t, sv, "s", "acme", 2, shardSnapshot(t, fdx.Options{}, testAttrs, 1)) {
 		t.Error("valid ship after corrupt attempts not applied")
+	}
+}
+
+// poisonCount returns a copy of snapshot snap whose first pair count is
+// bad(pairs), its section CRC recomputed so the bytes pass every checksum.
+// It walks the version-2 frames (16-byte prologue; sections of ID u32,
+// length u64, payload, CRC32C), reading the pair total at offset 24 of the
+// meta section (ID 1) and writing into the counts section (ID 2).
+func poisonCount(t *testing.T, snap []byte, bad float64, overPairs bool) []byte {
+	t.Helper()
+	le := binary.LittleEndian
+	out := append([]byte(nil), snap...)
+	for at := 16; at+12 <= len(out); {
+		end := at + 12 + int(le.Uint64(out[at+4:]))
+		switch le.Uint32(out[at:]) {
+		case 1:
+			if overPairs {
+				bad += float64(le.Uint64(out[at+12+24:]))
+			}
+		case 2:
+			le.PutUint64(out[at+12:], math.Float64bits(bad))
+			le.PutUint32(out[end:], crc32.Checksum(out[at:end], crc32.MakeTable(crc32.Castagnoli)))
+			return out
+		}
+		at = end + 4
+	}
+	t.Fatal("snapshot has no counts section")
+	return nil
+}
+
+// TestShardShipPoisonedCounts ships snapshots whose checksums pass but
+// whose pair counts no stream can hold (NaN, −1, 0.5, one more than the
+// pairs): each is rejected typed corrupt_checkpoint, and the session's
+// snapshot bytes stay as they were.
+func TestShardShipPoisonedCounts(t *testing.T) {
+	sv := newServer(t, nil)
+	createSession(t, sv, "s", "acme")
+	mustShip(t, sv, "s", "acme", 1, shardSnapshot(t, fdx.Options{}, testAttrs, 0))
+	s, herr := sv.store.get("s", "acme")
+	if herr != nil {
+		t.Fatal(herr.Message)
+	}
+	var before bytes.Buffer
+	if err := s.acc.Snapshot(&before); err != nil {
+		t.Fatal(err)
+	}
+	shard := shardSnapshot(t, fdx.Options{}, testAttrs, 1)
+	for name, bad := range map[string][]byte{
+		"NaN":     poisonCount(t, shard, math.NaN(), false),
+		"-1":      poisonCount(t, shard, -1, false),
+		"0.5":     poisonCount(t, shard, 0.5, false),
+		"pairs+1": poisonCount(t, shard, 1, true),
+	} {
+		rec, body := ship(t, sv, "s", "acme", 2, bad)
+		if rec.Code != http.StatusInternalServerError || errCode(t, body) != CodeCorruptCheckpoint {
+			t.Errorf("count %s: status %d body %v, want 500 %s", name, rec.Code, body, CodeCorruptCheckpoint)
+		}
+	}
+	var after bytes.Buffer
+	if err := s.acc.Snapshot(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Error("poisoned ships changed the session's snapshot")
+	}
+	if !mustShip(t, sv, "s", "acme", 2, shard) {
+		t.Error("valid ship after poisoned attempts not applied")
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 	"fdx/internal/par"
 )
 
-// Sharded discovery. The accumulator's sufficient statistics are sums of
-// per-batch contributions, and the pair transform emits only 0/1 samples,
-// so every accumulated count, sum, and outer-product entry is an
-// integer-valued float64 — addition over them is exact and associative.
+// Sharded discovery. The accumulator's statistics are sums of per-batch
+// contributions — a pair total and per-stratum pair-agreement counts —
+// so every accumulated entry is an integer-valued float64 and addition
+// over them is exact and associative.
 // Shards can therefore absorb disjoint spans of the batch grid
 // independently and Merge back into a state bit-identical to the
 // sequential run, at any shard count and in any merge order; MergeShards

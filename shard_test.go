@@ -88,8 +88,9 @@ func fuzzRecipient() (*fdx.Accumulator, *fdx.Relation) {
 // FuzzMergeSnapshot feeds arbitrary bytes to Accumulator.MergeSnapshot.
 // The contract under test: the call never panics; it either applies a
 // valid compatible snapshot or returns an error from the checkpoint/shard
-// taxonomy; and a rejected (or duplicate) snapshot leaves the recipient
-// bit-identical — corrupt shards must never poison merged state. Run
+// taxonomy; a rejected (or duplicate) snapshot leaves the recipient
+// bit-identical — corrupt shards must never poison merged state; and the
+// recipient discovers soundly either way (assertDiscoverSound). Run
 // longer campaigns with:
 //
 //	go test -fuzz FuzzMergeSnapshot -fuzztime 30s .
@@ -114,6 +115,10 @@ func FuzzMergeSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a snapshot at all"))
 	f.Add(seed[:8]) // header only
+	v1 := append([]byte(nil), seed...)
+	v1[8] = 1 // the retired three-copy layout
+	f.Add(v1)
+	f.Add(poisonSnapshot(f, seed, badCounts["NaN"]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
@@ -142,6 +147,7 @@ func FuzzMergeSnapshot(f *testing.F) {
 				t.Fatal("rejected merge mutated the recipient")
 			}
 		}
+		assertDiscoverSound(t, acc)
 		// The recipient stays usable either way: the next global batch
 		// still absorbs.
 		if aerr := acc.AddAt(rel.Slice(80, 120), acc.NextGlobal()); aerr != nil {

@@ -1,9 +1,12 @@
 package fdx_test
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"fdx"
@@ -42,6 +45,121 @@ func TestAccumulatorStreamedDiscovery(t *testing.T) {
 	}
 	if res.ModelDuration <= 0 {
 		t.Error("model duration not recorded")
+	}
+}
+
+// TestAccumulatorOneBatchMatchesDiscover is the public face of the core's
+// single-batch pin: a stream of one batch discovers exactly what Discover
+// does on that batch — FDs, scores, B and order — including under a
+// MaxRows cut, where the stream's S must divide by the pairs counted.
+func TestAccumulatorOneBatchMatchesDiscover(t *testing.T) {
+	rel := noisyAddressRelation(rand.New(rand.NewSource(4)), 400, 0.03)
+	for _, maxRows := range []int{0, 100, 257} {
+		opts := fdx.Options{Seed: 4, MaxRows: maxRows}
+		want, err := fdx.Discover(rel, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc := fdx.NewAccumulator(rel.AttrNames(), opts)
+		if err := acc.Add(rel); err != nil {
+			t.Fatal(err)
+		}
+		got, err := acc.Discover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIdentical(t, want, got)
+	}
+}
+
+// TestPoisonedCountsRejectedTyped sends pair counts no stream can hold —
+// in bytes that pass every checksum — through each path that decodes
+// statistics from outside the program: a snapshot and a WAL record on
+// LoadCheckpoint, RestoreAccumulator and MergeSnapshot. Each must fail
+// with ErrCorruptCheckpoint, and a failed merge must leave the recipient's
+// snapshot bytes as they were.
+func TestPoisonedCountsRejectedTyped(t *testing.T) {
+	rel := noisyAddressRelation(rand.New(rand.NewSource(8)), 120, 0.05)
+	opts := fdx.Options{Seed: 8}
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "state.fdx")
+	// The checkpoint holds batch 0; the WAL beside it, batch 1.
+	acc := fdx.NewAccumulator(rel.AttrNames(), opts)
+	if err := acc.Add(rel.Slice(0, 40)); err != nil {
+		t.Fatal(err)
+	}
+	if err := acc.SaveCheckpoint(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	wal, err := fdx.OpenWAL(ckpt + fdx.WALSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := acc.AddLogged(rel.Slice(40, 80), wal); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walBytes, err := os.ReadFile(ckpt + fdx.WALSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fdx.LoadCheckpoint(ckpt, opts); err != nil {
+		t.Fatalf("clean checkpoint: %v", err)
+	}
+	// A shard holding batch 2, for the recipient of batches 0 and 1.
+	shard := fdx.NewAccumulator(rel.AttrNames(), opts)
+	if err := shard.AddAt(rel.Slice(80, 120), 2); err != nil {
+		t.Fatal(err)
+	}
+	var shardSnap, before bytes.Buffer
+	if err := shard.Snapshot(&shardSnap); err != nil {
+		t.Fatal(err)
+	}
+	if err := acc.Snapshot(&before); err != nil {
+		t.Fatal(err)
+	}
+
+	corrupt := func(path, name string, err error) {
+		t.Helper()
+		if !errors.Is(err, fdx.ErrCorruptCheckpoint) {
+			t.Errorf("%s with count %s: want ErrCorruptCheckpoint, got %v", path, name, err)
+		}
+	}
+	for name, bad := range badCounts {
+		badSnap := poisonSnapshot(t, snap, bad)
+		if err := os.WriteFile(ckpt, badSnap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := fdx.LoadCheckpoint(ckpt, opts)
+		corrupt("LoadCheckpoint snapshot", name, err)
+
+		if err := os.WriteFile(ckpt, snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(ckpt+fdx.WALSuffix, poisonWAL(walBytes, bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = fdx.LoadCheckpoint(ckpt, opts)
+		corrupt("LoadCheckpoint WAL", name, err)
+
+		_, err = fdx.RestoreAccumulator(bytes.NewReader(badSnap), opts)
+		corrupt("RestoreAccumulator", name, err)
+
+		applied, err := acc.MergeSnapshot(bytes.NewReader(poisonSnapshot(t, shardSnap.Bytes(), bad)))
+		corrupt("MergeSnapshot", name, err)
+		var after bytes.Buffer
+		if err := acc.Snapshot(&after); err != nil {
+			t.Fatal(err)
+		}
+		if applied || !bytes.Equal(after.Bytes(), before.Bytes()) {
+			t.Errorf("MergeSnapshot with count %s changed the recipient", name)
+		}
 	}
 }
 
